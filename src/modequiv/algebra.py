@@ -24,7 +24,7 @@ from .errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from .linalg import Mat, _batch_invertible, _rank, check_prime, inv_mod, inverse_table
+from .linalg import Mat, _batch_invertible, _rank, check_prime, inv_mod
 
 RSZ = "rsz"
 FREE_UNIVARIATE = "free_univariate"
@@ -684,14 +684,15 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
             raise BudgetExceeded(
                 f"GL({g},{p}) candidate space {total} exceeds budget {budget}"
             )
-        inv_t = inverse_table(p)
         powers = p ** np.arange(g * g - 1, -1, -1, dtype=np.int64)
         out = []
-        for start in range(0, total, 65536):
-            idx = np.arange(start, min(start + 65536, total), dtype=np.int64)
+        # batches of 4096 keep the elimination's temporaries small: batches
+        # of 65536 raised a process's peak RSS by megabytes
+        for start in range(0, total, 4096):
+            idx = np.arange(start, min(start + 4096, total), dtype=np.int64)
             digits = (idx[:, None] // powers[None, :]) % p  # big-endian = lex order
             batch = digits.reshape(-1, g, g)
-            ok = _batch_invertible(batch, p, inv_t)
+            ok = _batch_invertible(batch, p)
             for k in np.nonzero(ok)[0]:
                 out.append(_rsz_automorphism(a, Mat(p, batch[int(k)])))
         return tuple(out)
@@ -727,6 +728,22 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
                 out.append(f)
         return tuple(out)
     raise UnsupportedAlgebraKind(a.kind)
+
+
+@lru_cache(maxsize=128)
+def automorphism_matrices(a: Algebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The generator-mixing matrices of enumerate_automorphisms(a, budget),
+    in the same order, as one read-only (G, g, g) array (rsz only).  Built
+    on first use, so a process that never asks for it does not hold it."""
+    if a.kind != RSZ:
+        raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
+    g = a.num_generators
+    autos = enumerate_automorphisms(a, budget)
+    entries = (x for f in autos for row in f.payload for x in row)
+    mats = np.fromiter(entries, dtype=np.int64, count=len(autos) * g * g)
+    mats = mats.reshape(len(autos), g, g)
+    mats.setflags(write=False)
+    return mats
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:

@@ -9,8 +9,11 @@ first failing item in enumeration order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .algebra import (
     DEFAULT_BUDGET,
@@ -18,13 +21,14 @@ from .algebra import (
     Algebra,
     Automorphism,
     Subalgebra,
+    automorphism_matrices,
     compose,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     inverse,
 )
 from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
-from .linalg import Mat
+from .linalg import Mat, _batch_rank, tensor_combine
 from .modrep import (
     Module,
     Verdict,
@@ -216,31 +220,88 @@ def restriction_function(
     return _partition_from_pairs(labels, same)
 
 
+# Rank profiles are compared while F_p^g has at most this many points, and
+# the automorphisms are scanned in chunks whose (K, p^g, g) image arrays stay
+# near _PROFILE_CELLS entries: larger chunks were no faster and raised the
+# peak memory of a process by megabytes.
+_PROFILE_POINTS = 1024
+_PROFILE_CELLS = 2**15
+
+
+def _profile_points(a: Algebra) -> np.ndarray | None:
+    """Every c in F_p^g in lexicographic order, or None where rank profiles
+    are not compared (non-rsz algebras, no generators, too many points)."""
+    g, p = a.num_generators, a.p
+    if a.kind != RSZ or g == 0 or p**g > _PROFILE_POINTS:
+        return None
+    return np.array(list(itertools.product(range(p), repeat=g)), dtype=np.int64)
+
+
+def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:
+    """rank(sum_i c_i A_i) at every point c, A_i the action of generator i."""
+    p = m.algebra.p
+    stack = np.stack([x.a for x in m.action])
+    return _batch_rank(tensor_combine(points, stack, p), p)
+
+
+def _twisted_profiles(
+    profile: np.ndarray, points: np.ndarray, a: Algebra, budget: int
+) -> Iterator[np.ndarray]:
+    """Rank profiles of twist(m, f) for every enumerated f, from m's profile,
+    as (K, p^g) chunks in enumeration order.
+
+    twist(m, f) lets generator i act by sum_j f_ij A_j, so at c it has the
+    rank of sum_j (c^T F)_j A_j: m's profile read at c^T F.
+    """
+    mats = automorphism_matrices(a, budget)
+    powers = a.p ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
+    chunk = max(1, _PROFILE_CELLS // points.size)
+    for start in range(0, len(mats), chunk):
+        images = np.matmul(points, mats[start : start + chunk]) % a.p
+        yield profile[images @ powers]
+
+
+def _profile_survivors(m1: Module, m2: Module, n_autos: int, budget: int) -> Iterator[int]:
+    """Indices, in enumeration order, of the automorphisms f for which the
+    rank profile of twist(m2, f) equals that of m1, or every index where rank
+    profiles are not compared.  Chunks are scanned as they are consumed."""
+    points = _profile_points(m1.algebra)
+    if points is None:
+        yield from range(n_autos)
+        return
+    r1 = _rank_profile(m1, points)
+    start = 0
+    for tw in _twisted_profiles(_rank_profile(m2, points), points, m1.algebra, budget):
+        yield from (start + np.nonzero((tw == r1).all(axis=1))[0]).tolist()
+        start += len(tw)
+
+
 def t_isomorphic(
     m1: Module, m2: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> EquivVerdict:
     """Yes with witness (f, phi) iff some enumerated automorphism f makes
     m1 isomorphic to twist(m2, f).
 
-    Per automorphism, dim Hom(m1, twist) != dim End(m1) certifies No without
-    a search (composing with an isomorphism is a linear bijection onto End);
-    only dimension-compatible twists go through the full witness search.
+    A No is certified per automorphism without a search: by a dimension
+    mismatch, by the rank profile c -> rank(sum_i c_i A_i) on F_p^g (rsz
+    algebras; an isomorphism m1 -> twist(m2, f) forces r1(c) = r2(c^T F) for
+    every c), or by dim Hom(m1, twist) != dim End(m1) (composing with an
+    isomorphism is a linear bijection onto End).  Only the survivors, in
+    enumeration order, go through the full witness search.
     """
     _same_algebra(m1, m2)
     autos = enumerate_automorphisms(m1.algebra, budget)
+    if m1.dim != m2.dim:
+        return EquivVerdict(Verdict.NO, note="all automorphisms exhausted", checked=len(autos))
     undecided = None
-    end_dim = hom_space(m1, m1).dim if m1.dim == m2.dim and m1.dim else None
-    for idx, f in enumerate(autos):
-        if m1.dim != m2.dim:
-            res = is_isomorphic(m1, twist(m2, f), budget, seed)
-        elif m1.dim == 0:
-            res = is_isomorphic(m1, twist(m2, f), budget, seed)
-        else:
-            twisted = twist(m2, f)
-            hom = hom_space(m1, twisted)
-            if hom.dim != end_dim:
-                continue
-            res = _iso_from_hom(m1, twisted, hom, budget, seed)
+    end_dim = hom_space(m1, m1).dim
+    for idx in _profile_survivors(m1, m2, len(autos), budget):
+        f = autos[idx]
+        twisted = twist(m2, f)
+        hom = hom_space(m1, twisted)
+        if hom.dim != end_dim:
+            continue
+        res = _iso_from_hom(m1, twisted, hom, budget, seed)
         if res.verdict.is_yes:
             return EquivVerdict(
                 Verdict.YES, witness=(f, res.witness), checked=idx + 1
@@ -285,7 +346,11 @@ def t_orbit(
     The partition is built greedily against class representatives and every
     intra-class pair is then re-verified with a composed witness, so each
     pair inside a class carries a directly checked (f, phi).  closure=False
-    skips the twist-enumeration closure check (for large orbits).
+    skips the twist-enumeration closure check (for large orbits).  In the
+    closure pass over rsz algebras, the rank profile of twist(m, f) is m's
+    profile read through f, and is_isomorphic runs only against
+    representatives and candidates of equal profile; unequal profiles
+    certify non-isomorphism.
     """
     mods = [m, *candidates]
     for other in mods[1:]:
@@ -342,30 +407,39 @@ def t_orbit(
         return TOrbitResult(partition)
 
     autos = enumerate_automorphisms(m.algebra, budget)
+    points = _profile_points(m.algebra)
+    if points is None:
+        none = np.zeros(0, dtype=np.int64)
+        twisted_profiles = itertools.repeat(none)
+        cand_profiles = [none] * len(mods)
+    else:
+        chunks = _twisted_profiles(_rank_profile(m, points), points, m.algebra, budget)
+        twisted_profiles = itertools.chain.from_iterable(chunks)
+        cand_profiles = [_rank_profile(cand, points) for cand in mods]
+
+    def same(a: Module, b: Module) -> bool:
+        res = is_isomorphic(a, b, budget, seed)
+        if res.verdict.is_undecided:
+            raise UndecidedError("orbit closure comparison undecided")
+        return res.verdict.is_yes
+
     reps: list[Module] = []
+    rep_profiles: list[np.ndarray] = []
     rep_matched: list[bool] = []
-    for f in autos:
+    for f, prof in zip(autos, twisted_profiles):
         tw = twist(m, f)
-        known = False
-        for r in reps:
-            res = is_isomorphic(r, tw, budget, seed)
-            if res.verdict.is_undecided:
-                raise UndecidedError("orbit closure comparison undecided")
-            if res.verdict.is_yes:
-                known = True
-                break
-        if known:
+        if any(
+            np.array_equal(rp, prof) and same(r, tw) for r, rp in zip(reps, rep_profiles)
+        ):
             continue
         reps.append(tw)
-        matched = False
-        for cand in mods:
-            res = is_isomorphic(cand, tw, budget, seed)
-            if res.verdict.is_undecided:
-                raise UndecidedError("orbit closure comparison undecided")
-            if res.verdict.is_yes:
-                matched = True
-                break
-        rep_matched.append(matched)
+        rep_profiles.append(prof)
+        rep_matched.append(
+            any(
+                np.array_equal(cp, prof) and same(cand, tw)
+                for cand, cp in zip(mods, cand_profiles)
+            )
+        )
     unmatched = tuple(i for i, ok in enumerate(rep_matched) if not ok)
     return TOrbitResult(
         partition,

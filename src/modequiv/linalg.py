@@ -433,13 +433,19 @@ def combine(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
     return Mat(p, tensor_combine(c, stack, p))
 
 
-def _batch_invertible(batch: np.ndarray, p: int, inv_table: np.ndarray) -> np.ndarray:
-    """Vectorized invertibility over a (B, n, n) batch; returns a bool mask."""
+def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:
+    """Vectorized invertibility over a (B, n, n) batch; returns a bool mask.
+
+    Elimination is fraction-free: a row below the pivot becomes
+    pivot * row - entry * pivot_row, which scales it by a unit of F_p, so no
+    pivot inverse is needed and every product stays below p^2 < 2^62.
+    """
     b, n, _ = batch.shape
     if n == 0:
         return np.ones(b, dtype=bool)
     a = batch.copy()
     alive = np.ones(b, dtype=bool)
+    idx = np.arange(b)
     for c in range(n):
         col = a[:, c:, c] != 0
         has = col.any(axis=1)
@@ -447,17 +453,44 @@ def _batch_invertible(batch: np.ndarray, p: int, inv_table: np.ndarray) -> np.nd
         if not alive.any():
             return alive
         piv = c + np.argmax(col, axis=1)
-        idx = np.arange(b)
         rows_c = a[idx, c, :].copy()
         a[idx, c, :] = a[idx, piv, :]
         a[idx, piv, :] = rows_c
-        pv = a[:, c, c]
-        inv = inv_table[pv % p]
-        a[:, c, :] = (a[:, c, :] * inv[:, None]) % p
         if c + 1 < n:
-            f = a[:, c + 1 :, c]
-            a[:, c + 1 :, :] = (a[:, c + 1 :, :] - f[:, :, None] * a[:, None, c, :]) % p
+            rest = a[:, c, c, None, None] * a[:, c + 1 :, :]
+            rest -= a[:, c + 1 :, c, None] * a[:, None, c, :]
+            rest %= p
+            a[:, c + 1 :, :] = rest
     return alive
+
+
+def _batch_rank(batch: np.ndarray, p: int) -> np.ndarray:
+    """Ranks of a (B, r, c) batch: the fraction-free elimination of
+    _batch_invertible with one pivot row per matrix, advanced only where the
+    current column has a pivot at or below it."""
+    b, rows, cols = batch.shape
+    rank = np.zeros(b, dtype=np.int64)
+    if rows == 0:
+        return rank
+    a = batch % p
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        col = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
+        has = np.nonzero(col.any(axis=1))[0]
+        if not has.size:
+            continue
+        r = rank[has]
+        piv = np.argmax(col[has], axis=1)
+        sub = a[has]
+        k = np.arange(has.size)
+        pivot_row = sub[k, piv, :]
+        sub[k, piv, :] = sub[k, r, :]
+        sub[k, r, :] = pivot_row
+        pv = pivot_row[:, c, None, None]
+        f = np.where(row_ids > r[:, None], sub[:, :, c], 0)[:, :, None]
+        a[has] = (pv * sub - f * pivot_row[:, None, :]) % p
+        rank[has] += 1
+    return rank
 
 
 def inverse_table(p: int) -> np.ndarray:

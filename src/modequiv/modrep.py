@@ -39,7 +39,6 @@ from .linalg import (
     _batch_invertible,
     _nullspace,
     _solve,
-    inverse_table,
     stack_rows,
     tensor_combine,
 )
@@ -255,7 +254,6 @@ def _find_invertible(
     if n != basis[0].cols:
         return "no", None, 0
     stack = np.stack([b.a for b in basis])
-    inv_t = inverse_table(p)
 
     # identity in the span is the common fast witness
     flat = stack.reshape(d, n * n)
@@ -273,7 +271,7 @@ def _find_invertible(
     def exhaustive() -> tuple[str, Mat | None, int]:
         nonlocal searched
         for _, _, batch in _chunked_combos(stack, p):
-            ok = _batch_invertible(batch, p, inv_t)
+            ok = _batch_invertible(batch, p)
             searched += batch.shape[0]
             hit = np.nonzero(ok)[0]
             if hit.size:
@@ -292,7 +290,7 @@ def _find_invertible(
             take = min(1024, trials - done)
             coeffs = rng.integers(0, p, size=(take, d), dtype=np.int64)
             batch = tensor_combine(coeffs, stack, p)
-            ok = _batch_invertible(batch, p, inv_t)
+            ok = _batch_invertible(batch, p)
             done += take
             searched += take
             hit = np.nonzero(ok)[0]
@@ -316,6 +314,8 @@ def _find_invertible(
 def _iso_from_hom(
     m1: Module, m2: Module, hom: HomBasis, budget: int, seed: int
 ) -> IsoResult:
+    if m1.dim == 0:
+        return IsoResult(Verdict.YES, witness=Mat.zeros(0, 0, m1.algebra.p), note="empty module")
     status, witness, searched = _find_invertible(hom.basis, m1.algebra.p, budget, seed)
     if status == "yes":
         _verify_intertwiner(m1, m2, witness)
@@ -346,8 +346,6 @@ def is_isomorphic(
         raise AlgebraMismatch("isomorphism test for modules over different algebras")
     if m1.dim != m2.dim:
         return IsoResult(Verdict.NO, note="dimension mismatch")
-    if m1.dim == 0:
-        return IsoResult(Verdict.YES, witness=Mat.zeros(0, 0, m1.algebra.p), note="empty module")
     return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, seed)
 
 

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from modequiv.algebra import (
+    DEFAULT_BUDGET,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     make_rsz_algebra,
 )
 from modequiv.equiv import (
+    _profile_points,
+    _rank_profile,
+    _twisted_profiles,
     r_decomposable,
     r_distinct,
     r_isomorphic,
@@ -244,6 +248,132 @@ def test_t_iso_reflexive_symmetric_transitive_on_k_family():
     # all in one class, so transitivity reduces to everything being yes
     for m1, m2 in itertools.combinations(fam, 2):
         assert t_isomorphic(m1, m2).verdict.is_yes
+
+
+def test_t_isomorphic_dimension_mismatch_exhausts_without_search():
+    _, (m1, _) = fixture("tame3", 2)
+    padded = direct_sum(m1, trivial_module(m1.algebra, 1))
+    res = t_isomorphic(m1, padded)
+    assert res.verdict.is_no
+    assert res.note == "all automorphisms exhausted"
+    assert res.checked == len(enumerate_automorphisms(m1.algebra))
+
+
+def test_t_isomorphic_empty_modules_yes_at_first_automorphism():
+    alg = make_rsz_algebra(2, 3)
+    empty = trivial_module(alg, 0)
+    res = t_isomorphic(empty, empty)
+    assert res.verdict.is_yes and res.checked == 1
+    f, phi = res.witness
+    assert f == enumerate_automorphisms(alg)[0]
+    assert phi.shape == (0, 0)
+
+
+# -- rank profiles ----------------------------------------------------------------
+
+
+def _random_rsz_module(alg, top: int, bottom: int, rng):
+    """Generators map a `top`-dimensional space into a `bottom`-dimensional
+    one and kill the latter, so every product of two of them vanishes; the
+    result is seen through a random base change."""
+    p, g = alg.p, alg.num_generators
+    n = top + bottom
+    action = []
+    for _ in range(g):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[top:, :top] = rng.integers(0, p, size=(bottom, top))
+        action.append(Mat(p, a))
+    return conjugate(module_validate(alg, action), rand_invertible(n, p, rng))
+
+
+def _reference_t_isomorphic(m1, m2):
+    """The unfiltered search: one full isomorphism test per automorphism."""
+    autos = enumerate_automorphisms(m1.algebra)
+    for idx, f in enumerate(autos):
+        res = is_isomorphic(m1, twist(m2, f))
+        assert not res.verdict.is_undecided
+        if res.verdict.is_yes:
+            return Verdict.YES, idx + 1, f.payload, res.witness
+    return Verdict.NO, len(autos), None, None
+
+
+def _summary(res):
+    if res.verdict.is_yes:
+        f, phi = res.witness
+        return res.verdict, res.checked, f.payload, phi
+    return res.verdict, res.checked, None, None
+
+
+# (p, g) pairs with enumerable groups; the unfiltered No search over all of
+# GL(3,3) takes seconds, so g = 3 runs at p = 3 on twisted conjugates only
+PROFILE_CASES = [(2, 2, True), (3, 2, True), (5, 2, True), (2, 3, True), (3, 3, False)]
+
+
+@pytest.mark.parametrize("p,g,with_no", PROFILE_CASES)
+def test_profile_filter_matches_unfiltered_search(p, g, with_no):
+    rng = np.random.default_rng(1000 * p + g)
+    alg = make_rsz_algebra(g, p)
+    autos = enumerate_automorphisms(alg)
+    saw = set()
+    for top, bottom in ((1, 2), (2, 1), (2, 2)):
+        m1 = _random_rsz_module(alg, top, bottom, rng)
+        h = autos[int(rng.integers(len(autos)))]
+        conj = conjugate(twist(m1, h), rand_invertible(m1.dim, p, rng))
+        pairs = [(m1, conj)]
+        if with_no:
+            pairs.append((m1, _random_rsz_module(alg, top, bottom, rng)))
+        for a, b in pairs:
+            got = t_isomorphic(a, b)
+            assert _summary(got) == _reference_t_isomorphic(a, b)
+            assert got.note == ("" if got.verdict.is_yes else "all automorphisms exhausted")
+            saw.add(got.verdict)
+    assert Verdict.YES in saw
+    if with_no:
+        assert Verdict.NO in saw
+
+
+@pytest.mark.parametrize("p,g", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+def test_rank_profile_invariant_under_base_change_and_read_through_twists(p, g):
+    rng = np.random.default_rng(7 * p + g)
+    alg = make_rsz_algebra(g, p)
+    points = _profile_points(alg)
+    autos = enumerate_automorphisms(alg)
+    m = _random_rsz_module(alg, 2, 2, rng)
+    profile = _rank_profile(m, points)
+    conj = conjugate(m, rand_invertible(m.dim, p, rng))
+    assert np.array_equal(_rank_profile(conj, points), profile)
+    twisted = np.concatenate(list(_twisted_profiles(profile, points, alg, DEFAULT_BUDGET)))
+    assert twisted.shape == (len(autos), p**g)
+    for k in rng.choice(len(autos), size=min(len(autos), 40), replace=False):
+        assert np.array_equal(_rank_profile(twist(m, autos[k]), points), twisted[k])
+
+
+def _reference_closure(m, mods):
+    """Orbit closure with a full isomorphism test for every comparison."""
+    reps, matched = [], []
+    for f in enumerate_automorphisms(m.algebra):
+        tw = twist(m, f)
+        if any(is_isomorphic(r, tw).verdict.is_yes for r in reps):
+            continue
+        reps.append(tw)
+        matched.append(any(is_isomorphic(c, tw).verdict.is_yes for c in mods))
+    return reps, matched
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_orbit_closure_matches_unfiltered_closure(p):
+    rng = np.random.default_rng(31 + p)
+    alg = make_rsz_algebra(2, p)
+    families = [
+        [k_module(lam, 2, p) for lam in range(p)] + [k_module(INFINITY, 2, p)],
+        [_random_rsz_module(alg, 1, 2, rng) for _ in range(3)],
+    ]
+    for fam in families:
+        res = t_orbit(fam[0], fam[1:])
+        reps, matched = _reference_closure(fam[0], fam)
+        assert res.orbit_reps == tuple(reps)
+        assert res.unmatched_reps == tuple(i for i, ok in enumerate(matched) if not ok)
+        assert res.closed == all(matched)
 
 
 # -- t_orbit --------------------------------------------------------------------

@@ -15,7 +15,6 @@ from modequiv.linalg import (
     Mat,
     check_prime,
     combine,
-    inverse_table,
     is_invertible,
     kernel_basis,
     mat_mul,
@@ -23,6 +22,8 @@ from modequiv.linalg import (
     rand_mat,
     solve,
     _batch_invertible,
+    _batch_rank,
+    _rank,
 )
 
 
@@ -170,9 +171,40 @@ def test_batch_invertible_agrees_with_scalar_path():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):
         batch = rng.integers(0, p, size=(64, 4, 4))
-        mask = _batch_invertible(batch.astype(np.int64), p, inverse_table(p))
+        mask = _batch_invertible(batch.astype(np.int64), p)
         for arr, ok in zip(batch, mask):
             assert Mat(p, arr).is_invertible() == bool(ok)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2_147_483_647])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5), (1, 1), (4, 4)])
+def test_batch_rank_agrees_with_rank(p, shape):
+    rng = np.random.default_rng(p % 1000 + 10 * shape[0] + shape[1])
+    batch = rng.integers(0, p, size=(40, *shape), dtype=np.int64)
+    batch[0] = 0
+    k = min(shape)
+    batch[1] = 0
+    batch[1, :k, :k] = np.eye(k, dtype=np.int64)  # full rank
+    batch[2:10, -1] = batch[2:10, 0]  # repeated rows
+    batch[10:14] = np.outer(np.arange(1, shape[0] + 1), np.arange(1, shape[1] + 1)) % p
+    assert [int(r) for r in _batch_rank(batch, p)] == [_rank(m, p) for m in batch]
+
+
+def test_batch_rank_of_empty_matrices():
+    assert list(_batch_rank(np.zeros((3, 0, 4), dtype=np.int64), 5)) == [0, 0, 0]
+    assert list(_batch_rank(np.zeros((3, 4, 0), dtype=np.int64), 5)) == [0, 0, 0]
+
+
+def test_batch_kernels_exact_at_largest_prime():
+    # fraction-free elimination multiplies two entries below p, just under 2^62
+    p = 2_147_483_647
+    rng = np.random.default_rng(5)
+    batch = rng.integers(p - 4, p, size=(64, 3, 3), dtype=np.int64)
+    batch[::4, 2] = batch[::4, 1]  # singular members
+    mask = _batch_invertible(batch, p)
+    assert [bool(ok) for ok in mask] == [Mat(p, m).is_invertible() for m in batch]
+    assert not mask[::4].any() and mask.any()
+    assert [int(r) for r in _batch_rank(batch, p)] == [_rank(m, p) for m in batch]
 
 
 def test_large_modulus_product_is_exact():
