@@ -18,7 +18,6 @@ from .algebra import (
     make_free_univariate,
     make_rsz_algebra,
     make_semidihedral_algebra,
-    rsz_as_table,
 )
 from .equiv import (
     EquivVerdict,
@@ -53,7 +52,6 @@ from .errors import (
 from .families import (
     FIXTURE_NAMES,
     INFINITY,
-    FamilySpec,
     b_blowup,
     band_module,
     c2,
@@ -63,7 +61,7 @@ from .families import (
     jordan_block,
     k_module,
 )
-from .linalg import Fp, Mat, is_invertible, kernel_basis, mat_mul, rand_invertible, rand_mat
+from .linalg import Mat, rand_invertible, rand_mat
 from .modrep import (
     HomBasis,
     IndecResult,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -407,32 +407,6 @@ def make_semidihedral_algebra(p: int) -> Algebra:
     return alg
 
 
-def rsz_as_table(a: Algebra) -> Algebra:
-    """Materialize a radical-square-zero algebra as an explicit table."""
-    if a.kind != RSZ:
-        raise UnsupportedAlgebraKind(f"expected rsz, got {a.kind}")
-    g = a.num_generators
-    d = g + 1
-    table = np.zeros((d, d, d), dtype=np.int64)
-    for j in range(d):
-        table[0, j, j] = 1
-        table[j, 0, j] = 1
-    table[0, 0, 0] = 1
-    alg = Algebra(
-        a.p,
-        TABLE,
-        a.generators,
-        a.relations,
-        basis_labels=("1",) + a.generators,
-        basis_words=((),) + tuple((i,) for i in range(g)),
-        unit_index=0,
-        radical_basis=tuple(range(1, d)),
-        table=table,
-    )
-    algebra_validate(alg)
-    return alg
-
-
 def algebra_validate(a: Algebra) -> Algebra:
     """Certify a table algebra: two-sided unit, associativity on all basis
     triples, and the listed relations evaluating to zero."""
@@ -556,18 +530,35 @@ def enumerate_proper_subalgebras(a: Algebra, scope: str = "all") -> list[Subalge
 
 @dataclass(frozen=True)
 class Automorphism:
-    """An algebra automorphism with per-generator image polynomials.
+    """An algebra automorphism, stored as its kind-specific canonical form.
 
-    payload is the kind-specific canonical form: the generator-mixing matrix
-    for rsz, (a, b) for X -> aX + b, (swap, a) for dihedral scalings, and the
-    tuple of generator-image coefficient vectors for table algebras.  induced
-    is the basis-to-basis linear map (table algebras only).
+    payload is the generator-mixing matrix for rsz, (a, b) for X -> aX + b,
+    (swap, a) for dihedral scalings, and the tuple of generator-image
+    coefficient vectors for table algebras.  induced is the basis-to-basis
+    linear map (table algebras only).
     """
 
     algebra: Algebra
-    images: tuple[NcPoly, ...]
     payload: tuple
     induced: Mat | None = None
+
+    @cached_property
+    def images(self) -> tuple[NcPoly, ...]:
+        """Per-generator image polynomials, derived from the payload."""
+        a, p = self.algebra, self.algebra.p
+        if a.kind == RSZ:
+            return tuple(NcPoly(p, [(c, (j,)) for j, c in enumerate(row)]) for row in self.payload)
+        if a.kind == FREE_UNIVARIATE:
+            coeff, shift = self.payload
+            return (NcPoly(p, [(coeff, (0,)), (shift, ())]),)
+        if a.kind == DIHEDRAL:
+            swap, scale = self.payload
+            if swap:
+                return (NcPoly.gen(p, 1), NcPoly.gen(p, 0, scale))
+            return (NcPoly.gen(p, 0), NcPoly.gen(p, 1, scale))
+        return tuple(
+            NcPoly(p, [(c, a.basis_words[i]) for i, c in enumerate(v) if c]) for v in self.payload
+        )
 
     def describe(self) -> str:
         kind = self.algebra.kind
@@ -587,38 +578,19 @@ class Automorphism:
         if self.algebra.kind != RSZ:
             raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
         g = self.algebra.num_generators
-        return Mat.from_flat(g, g, [x for row in self.payload for x in row], self.algebra.p)
+        return Mat(self.algebra.p, np.array(self.payload, dtype=np.int64).reshape(g, g))
 
 
 def _rsz_automorphism(a: Algebra, m: Mat) -> Automorphism:
-    g = a.num_generators
-    images = tuple(
-        NcPoly(a.p, [(int(m.a[i, j]), (j,)) for j in range(g)]) for i in range(g)
-    )
-    payload = tuple(tuple(int(x) for x in row) for row in m.a)
-    return Automorphism(a, images, payload)
+    return Automorphism(a, tuple(map(tuple, m.to_lists())))
 
 
 def _free_automorphism(a: Algebra, coeff: int, shift: int) -> Automorphism:
-    img = NcPoly(a.p, [(coeff, (0,)), (shift, ())])
-    return Automorphism(a, (img,), (coeff % a.p, shift % a.p))
+    return Automorphism(a, (coeff % a.p, shift % a.p))
 
 
 def _dihedral_automorphism(a: Algebra, swap: bool, scale: int) -> Automorphism:
-    if swap:
-        images = (NcPoly.gen(a.p, 1), NcPoly.gen(a.p, 0, scale))
-    else:
-        images = (NcPoly.gen(a.p, 0), NcPoly.gen(a.p, 1, scale))
-    return Automorphism(a, images, (swap, scale % a.p))
-
-
-def _table_images_to_polys(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> tuple[NcPoly, ...]:
-    polys = []
-    for v in gen_vecs:
-        polys.append(
-            NcPoly(a.p, [(int(c), a.basis_words[i]) for i, c in enumerate(v) if c])
-        )
-    return tuple(polys)
+    return Automorphism(a, (swap, scale % a.p))
 
 
 def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> Automorphism | None:
@@ -640,7 +612,7 @@ def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> Automorph
     if not induced.is_invertible():
         return None
     payload = tuple(tuple(int(x) for x in v) for v in gen_vecs)
-    return Automorphism(a, _table_images_to_polys(a, gen_vecs), payload, induced=induced)
+    return Automorphism(a, payload, induced=induced)
 
 
 def identity_automorphism(a: Algebra) -> Automorphism:
@@ -663,7 +635,23 @@ def identity_automorphism(a: Algebra) -> Automorphism:
     raise UnsupportedAlgebraKind(a.kind)
 
 
-@lru_cache(maxsize=128)
+def _check_budget(a: Algebra, budget: int):
+    """Refuse a group whose candidate space exceeds the budget."""
+    p = a.p
+    if a.kind == RSZ and a.num_generators:
+        g = a.num_generators
+        if p ** (g * g) > budget:
+            raise BudgetExceeded(
+                f"GL({g},{p}) candidate space {p ** (g * g)} exceeds budget {budget}"
+            )
+    if a.kind == TABLE:
+        space = p ** (len(a.radical_basis) * len(a.generators))
+        if space > budget:
+            raise BudgetExceeded(
+                f"table automorphism candidate space {space} exceeds budget {budget}"
+            )
+
+
 def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[Automorphism, ...]:
     """The automorphisms used by the decision procedures, in deterministic order.
 
@@ -672,30 +660,19 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
     dihedral: the scalings f_a plus, when eps1 = eps2, the X<->Y swap composed
     with each scaling (the structurally verified families; not the full group).
     table: all generator images in the radical span that satisfy the relations
-    and induce an invertible basis map.  Results are cached per (algebra, budget).
+    and induce an invertible basis map.  The budget is checked against the
+    candidate space on every call; the group is built and cached once per
+    algebra, whatever the budget.
     """
+    _check_budget(a, budget)
+    return _automorphism_group(a)
+
+
+@lru_cache(maxsize=128)
+def _automorphism_group(a: Algebra) -> tuple[Automorphism, ...]:
     p = a.p
     if a.kind == RSZ:
-        g = a.num_generators
-        if g == 0:
-            return (identity_automorphism(a),)
-        total = p ** (g * g)
-        if total > budget:
-            raise BudgetExceeded(
-                f"GL({g},{p}) candidate space {total} exceeds budget {budget}"
-            )
-        powers = p ** np.arange(g * g - 1, -1, -1, dtype=np.int64)
-        out = []
-        # batches of 4096 keep the elimination's temporaries small: batches
-        # of 65536 raised a process's peak RSS by megabytes
-        for start in range(0, total, 4096):
-            idx = np.arange(start, min(start + 4096, total), dtype=np.int64)
-            digits = (idx[:, None] // powers[None, :]) % p  # big-endian = lex order
-            batch = digits.reshape(-1, g, g)
-            ok = _batch_invertible(batch, p)
-            for k in np.nonzero(ok)[0]:
-                out.append(_rsz_automorphism(a, Mat(p, batch[int(k)])))
-        return tuple(out)
+        return tuple(Automorphism(a, tuple(map(tuple, m))) for m in _rsz_matrices(a).tolist())
     if a.kind == FREE_UNIVARIATE:
         return tuple(
             _free_automorphism(a, c, s) for c in range(1, p) for s in range(p)
@@ -709,11 +686,6 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
     if a.kind == TABLE:
         n_rad = len(a.radical_basis)
         n_gens = len(a.generators)
-        space = p ** (n_rad * n_gens)
-        if space > budget:
-            raise BudgetExceeded(
-                f"table automorphism candidate space {space} exceeds budget {budget}"
-            )
         d = len(a.basis_labels)
         out = []
         for coeffs in itertools.product(range(p), repeat=n_rad * n_gens):
@@ -730,20 +702,40 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
     raise UnsupportedAlgebraKind(a.kind)
 
 
+# misses of the per-algebra cache are builds of a group
+enumerate_automorphisms.cache_info = _automorphism_group.cache_info
+
+
 @lru_cache(maxsize=128)
-def automorphism_matrices(a: Algebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """The generator-mixing matrices of enumerate_automorphisms(a, budget),
-    in the same order, as one read-only (G, g, g) array (rsz only).  Built
-    on first use, so a process that never asks for it does not hold it."""
-    if a.kind != RSZ:
-        raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
-    g = a.num_generators
-    autos = enumerate_automorphisms(a, budget)
-    entries = (x for f in autos for row in f.payload for x in row)
-    mats = np.fromiter(entries, dtype=np.int64, count=len(autos) * g * g)
-    mats = mats.reshape(len(autos), g, g)
+def _rsz_matrices(a: Algebra) -> np.ndarray:
+    """GL(g, p) in lexicographic order of the entries, as one read-only
+    (G, g, g) array."""
+    g, p = a.num_generators, a.p
+    if g == 0:
+        mats = np.zeros((1, 0, 0), dtype=np.int64)
+    else:
+        total = p ** (g * g)
+        powers = p ** np.arange(g * g - 1, -1, -1, dtype=np.int64)
+        found = []
+        # batches of 4096 keep the elimination's temporaries small: batches
+        # of 65536 raised a process's peak RSS by megabytes
+        for start in range(0, total, 4096):
+            idx = np.arange(start, min(start + 4096, total), dtype=np.int64)
+            digits = (idx[:, None] // powers[None, :]) % p  # big-endian = lex order
+            batch = digits.reshape(-1, g, g)
+            found.append(batch[_batch_invertible(batch, p)])
+        mats = np.concatenate(found)
     mats.setflags(write=False)
     return mats
+
+
+def automorphism_matrices(a: Algebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The generator-mixing matrices of enumerate_automorphisms(a, budget),
+    in the same order, as one read-only (G, g, g) array (rsz only)."""
+    if a.kind != RSZ:
+        raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
+    _check_budget(a, budget)
+    return _rsz_matrices(a)
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:

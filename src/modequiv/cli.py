@@ -213,7 +213,6 @@ def cmd_verify(args) -> int:
         fields=tuple(args.fields),
         budget=args.budget,
         seed=args.seed,
-        scope=args.scope,
         report=args.report,
         timing=args.timing,
     )
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--fields", type=int, nargs="+", default=[2, 3, 5])
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--scope", choices=("all", "maximal"), default="maximal")
     verify.add_argument("--report", choices=("text", "structured"), default="text")
     verify.add_argument(
         "--timing",

@@ -10,7 +10,7 @@ first failing item in enumeration order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .algebra import (
     RSZ,
     Algebra,
     Automorphism,
-    Subalgebra,
     automorphism_matrices,
     compose,
     enumerate_automorphisms,
@@ -31,6 +30,7 @@ from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
 from .linalg import Mat, _batch_rank, tensor_combine
 from .modrep import (
     Module,
+    IsoResult,
     Verdict,
     _iso_from_hom,
     hom_space,
@@ -75,34 +75,44 @@ class Partition:
     def representatives(self) -> tuple[str, ...]:
         return tuple(cls[0] for cls in self.classes)
 
-    def class_of(self, label: str) -> tuple[str, ...]:
-        for cls in self.classes:
-            if label in cls:
-                return cls
-        raise KeyError(label)
-
     def __len__(self):
         return len(self.classes)
 
 
 def _partition_from_pairs(labels: Sequence[str], same) -> Partition:
-    """Group labels by the pairwise oracle `same(i, j) -> bool`, comparing
-    every pair inside a prospective class."""
+    """Group labels by the equivalence `same(rep, i) -> bool`, comparing each
+    label only with the representative of every earlier class, in order."""
     classes: list[list[int]] = []
     for i in range(len(labels)):
-        placed = False
-        for cls in classes:
-            if all(same(j, i) for j in cls):
-                cls.append(i)
-                placed = True
-                break
-        if placed:
-            continue
-        classes.append([i])
+        cls = next((c for c in classes if same(c[0], i)), None)
+        if cls is None:
+            classes.append([i])
+        else:
+            cls.append(i)
     return Partition(
         tuple(labels),
         tuple(tuple(labels[i] for i in cls) for cls in classes),
     )
+
+
+def _scan(items, decide, stop: Verdict, found: EquivVerdict, default: EquivVerdict, total: int):
+    """The three-valued quantifier behind every relation here.
+
+    Decides the (index, item) pairs in order.  The first whose verdict is
+    `stop` gives `found` with witness (index, item, result) and
+    checked = index + 1; failing that, the first Undecided gives Undecided
+    with that witness; failing that, `default`.  Both carry checked = total.
+    """
+    undecided = None
+    for idx, item in items:
+        res = decide(item)
+        if res.verdict is stop:
+            return replace(found, witness=(idx, item, res), checked=idx + 1)
+        if res.verdict.is_undecided and undecided is None:
+            undecided = (idx, item, res)
+    if undecided is not None:
+        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=total)
+    return replace(default, checked=total)
 
 
 def _require_rsz(m: Module):
@@ -117,6 +127,23 @@ def _same_algebra(m1: Module, m2: Module):
         raise AlgebraMismatch("modules over different algebras")
 
 
+def _every_subalgebra(
+    m: Module, scope: str, decide, stop: Verdict, note: str
+) -> EquivVerdict:
+    """A universal relation: No at the first enumerated proper subalgebra in
+    scope that decide gives the verdict `stop`, else as _scan."""
+    _require_rsz(m)
+    subs = enumerate_proper_subalgebras(m.algebra, scope)
+    return _scan(
+        enumerate(subs),
+        decide,
+        stop,
+        EquivVerdict(Verdict.NO, note=note),
+        EquivVerdict(Verdict.YES),
+        len(subs),
+    )
+
+
 def r_isomorphic(
     m1: Module,
     m2: Module,
@@ -127,20 +154,13 @@ def r_isomorphic(
     """Yes iff the restrictions to every enumerated proper subalgebra in
     scope are isomorphic."""
     _same_algebra(m1, m2)
-    _require_rsz(m1)
-    subs = enumerate_proper_subalgebras(m1.algebra, scope)
-    undecided = None
-    for idx, s in enumerate(subs):
-        res = is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed)
-        if res.verdict.is_no:
-            return EquivVerdict(
-                Verdict.NO, witness=(idx, s, res), note="restriction differs", checked=idx + 1
-            )
-        if res.verdict.is_undecided and undecided is None:
-            undecided = (idx, s, res)
-    if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(subs))
-    return EquivVerdict(Verdict.YES, checked=len(subs))
+    return _every_subalgebra(
+        m1,
+        scope,
+        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
+        Verdict.NO,
+        "restriction differs",
+    )
 
 
 def r_distinct(
@@ -153,46 +173,26 @@ def r_distinct(
     """Yes iff the restrictions are non-isomorphic at every enumerated
     subalgebra in scope."""
     _same_algebra(m1, m2)
-    _require_rsz(m1)
-    subs = enumerate_proper_subalgebras(m1.algebra, scope)
-    undecided = None
-    for idx, s in enumerate(subs):
-        res = is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed)
-        if res.verdict.is_yes:
-            return EquivVerdict(
-                Verdict.NO,
-                witness=(idx, s, res),
-                note="restrictions isomorphic",
-                checked=idx + 1,
-            )
-        if res.verdict.is_undecided and undecided is None:
-            undecided = (idx, s, res)
-    if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(subs))
-    return EquivVerdict(Verdict.YES, checked=len(subs))
+    return _every_subalgebra(
+        m1,
+        scope,
+        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
+        Verdict.YES,
+        "restrictions isomorphic",
+    )
 
 
 def r_decomposable(
     m: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> EquivVerdict:
     """Yes iff the restriction to every maximal proper subalgebra decomposes."""
-    _require_rsz(m)
-    subs = enumerate_proper_subalgebras(m.algebra, "maximal")
-    undecided = None
-    for idx, s in enumerate(subs):
-        res = is_indecomposable(restrict(m, s), budget)
-        if res.verdict.is_yes:
-            return EquivVerdict(
-                Verdict.NO,
-                witness=(idx, s, res),
-                note="restriction stays indecomposable",
-                checked=idx + 1,
-            )
-        if res.verdict.is_undecided and undecided is None:
-            undecided = (idx, s, res)
-    if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(subs))
-    return EquivVerdict(Verdict.YES, checked=len(subs))
+    return _every_subalgebra(
+        m,
+        "maximal",
+        lambda s: is_indecomposable(restrict(m, s), budget),
+        Verdict.YES,
+        "restriction stays indecomposable",
+    )
 
 
 def restriction_function(
@@ -293,24 +293,27 @@ def t_isomorphic(
     autos = enumerate_automorphisms(m1.algebra, budget)
     if m1.dim != m2.dim:
         return EquivVerdict(Verdict.NO, note="all automorphisms exhausted", checked=len(autos))
-    undecided = None
     end_dim = hom_space(m1, m1).dim
-    for idx in _profile_survivors(m1, m2, len(autos), budget):
-        f = autos[idx]
+
+    def decide(f: Automorphism) -> IsoResult:
         twisted = twist(m2, f)
         hom = hom_space(m1, twisted)
         if hom.dim != end_dim:
-            continue
-        res = _iso_from_hom(m1, twisted, hom, budget, seed)
-        if res.verdict.is_yes:
-            return EquivVerdict(
-                Verdict.YES, witness=(f, res.witness), checked=idx + 1
-            )
-        if res.verdict.is_undecided and undecided is None:
-            undecided = (idx, f, res)
-    if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(autos))
-    return EquivVerdict(Verdict.NO, note="all automorphisms exhausted", checked=len(autos))
+            return IsoResult(Verdict.NO)
+        return _iso_from_hom(m1, twisted, hom, budget, seed)
+
+    res = _scan(
+        ((idx, autos[idx]) for idx in _profile_survivors(m1, m2, len(autos), budget)),
+        decide,
+        Verdict.YES,
+        EquivVerdict(Verdict.YES),
+        EquivVerdict(Verdict.NO, note="all automorphisms exhausted"),
+        len(autos),
+    )
+    if res.is_yes:
+        _, f, iso = res.witness
+        return replace(res, witness=(f, iso.witness))
+    return res
 
 
 def verify_twisted_witness(m1: Module, m2: Module, f: Automorphism, phi: Mat) -> bool:
@@ -356,53 +359,35 @@ def t_orbit(
     for other in mods[1:]:
         _same_algebra(m, other)
     labels = [f"M{i}" for i in range(len(mods))]
-    witnesses: dict[tuple[int, int], tuple[Automorphism, Mat]] = {}
+    by_label = dict(zip(labels, mods))
+    witnesses: dict[str, tuple[Automorphism, Mat]] = {}
 
-    classes: list[list[int]] = []
-    for i, mod in enumerate(mods):
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            res = t_isomorphic(mods[rep], mod, budget, seed)
-            if res.verdict.is_undecided:
-                raise UndecidedError(f"t-comparison {labels[rep]} vs {labels[i]} undecided")
-            if res.verdict.is_yes:
-                witnesses[(rep, i)] = res.witness
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
+    def same_class(rep: int, i: int) -> bool:
+        res = t_isomorphic(mods[rep], mods[i], budget, seed)
+        if res.verdict.is_undecided:
+            raise UndecidedError(f"t-comparison {labels[rep]} vs {labels[i]} undecided")
+        if res.verdict.is_yes:
+            witnesses[labels[i]] = res.witness
+        return res.verdict.is_yes
 
-    for cls in classes:
-        rep = cls[0]
-        for a_pos in range(1, len(cls)):
-            for b_pos in range(a_pos + 1, len(cls)):
-                ia, ib = cls[a_pos], cls[b_pos]
-                fa, phia = witnesses[(rep, ia)]
-                fb, phib = witnesses[(rep, ib)]
-                # phi_x : m_rep -> twist(m_x, f_x); untwisting by f_a gives
-                # phib phia^{-1} : m_a -> twist(m_b, f_b then f_a^{-1})
-                try:
-                    h = compose(fb, inverse(fa))
-                except UnsupportedAlgebraKind:
-                    # dihedral witnesses need not invert inside the family;
-                    # fall back to a direct comparison
-                    res = t_isomorphic(mods[ia], mods[ib], budget, seed)
-                    if not res.verdict.is_yes:
-                        raise UndecidedError(
-                            f"pair {labels[ia]} vs {labels[ib]} not re-verified"
-                        )
-                    continue
-                psi = phib @ phia.inverse()
-                if not verify_twisted_witness(mods[ia], mods[ib], h, psi):
-                    raise UndecidedError(
-                        f"composed witness for {labels[ia]} vs {labels[ib]} failed"
-                    )
+    partition = _partition_from_pairs(labels, same_class)
+    for cls in partition.classes:
+        for a, b in itertools.combinations(cls[1:], 2):
+            fa, phia = witnesses[a]
+            fb, phib = witnesses[b]
+            # phi_x : m_rep -> twist(m_x, f_x); untwisting by f_a gives
+            # phib phia^{-1} : m_a -> twist(m_b, f_b then f_a^{-1})
+            try:
+                h = compose(fb, inverse(fa))
+            except UnsupportedAlgebraKind:
+                # dihedral witnesses need not invert inside the family;
+                # fall back to a direct comparison
+                if not t_isomorphic(by_label[a], by_label[b], budget, seed).verdict.is_yes:
+                    raise UndecidedError(f"pair {a} vs {b} not re-verified")
+                continue
+            if not verify_twisted_witness(by_label[a], by_label[b], h, phib @ phia.inverse()):
+                raise UndecidedError(f"composed witness for {a} vs {b} failed")
 
-    partition = Partition(
-        tuple(labels), tuple(tuple(labels[i] for i in cls) for cls in classes)
-    )
     if not closure:
         return TOrbitResult(partition)
 
@@ -455,20 +440,10 @@ def rt_isomorphic(
     """Yes iff the restrictions to every maximal proper subalgebra are
     twisted-isomorphic (over the subalgebra's automorphisms)."""
     _same_algebra(m1, m2)
-    _require_rsz(m1)
-    subs = enumerate_proper_subalgebras(m1.algebra, "maximal")
-    undecided = None
-    for idx, s in enumerate(subs):
-        res = t_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed)
-        if res.verdict.is_no:
-            return EquivVerdict(
-                Verdict.NO,
-                witness=(idx, s, res),
-                note="restrictions not twist-equivalent",
-                checked=idx + 1,
-            )
-        if res.verdict.is_undecided and undecided is None:
-            undecided = (idx, s, res)
-    if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(subs))
-    return EquivVerdict(Verdict.YES, checked=len(subs))
+    return _every_subalgebra(
+        m1,
+        "maximal",
+        lambda s: t_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
+        Verdict.NO,
+        "restrictions not twist-equivalent",
+    )

@@ -8,8 +8,6 @@ blow-up, and the C-families over the three-generator wild algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (
@@ -146,34 +144,6 @@ def c3(alpha: int, beta: int, gamma: int, p: int) -> Module:
         + Mat.basis(5, 4, 2, p, value=gamma)
     )
     return module_validate(alg, [x, y, z], name=f"C({alpha},{beta},{gamma})")
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """CLI-facing family descriptor: tag, parameters, modulus."""
-
-    family: str
-    params: tuple
-    p: int
-
-    def build(self) -> Module:
-        if self.family == "J":
-            lam, n = self.params
-            return jordan(lam, n, self.p)
-        if self.family == "K":
-            lam, n = self.params
-            lam = INFINITY if lam in ("inf", INFINITY) else int(lam)
-            return k_module(lam, n, self.p)
-        if self.family == "B":
-            (lam,) = self.params
-            return band_module(lam, self.p)
-        if self.family == "C2":
-            alpha, beta = self.params
-            return c2(alpha, beta, self.p)
-        if self.family == "C3":
-            alpha, beta, gamma = self.params
-            return c3(alpha, beta, gamma, self.p)
-        raise UnknownFixture(f"unknown family tag {self.family!r}")
 
 
 def _e(n, i, j, p, v=1):

@@ -6,7 +6,6 @@ All elimination is plain field arithmetic; there is no pivoting tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -45,55 +44,6 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise NotInvertible(f"0 has no inverse mod {p}")
     return pow(a, p - 2, p)
-
-
-@dataclass(frozen=True)
-class Fp:
-    """A canonical representative of F_p; arithmetic stays in [0, p)."""
-
-    p: int
-    value: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ModulusMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other
-        return Fp(self.p, int(other))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Fp(self.p, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp(self.p, -self.value)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Fp(self.p, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Fp":
-        return Fp(self.p, inv_mod(self.value, self.p))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __int__(self):
-        return self.value
-
-    def __bool__(self):
-        return self.value != 0
 
 
 def _as_array(data, p: int) -> np.ndarray:
@@ -149,14 +99,6 @@ class Mat:
         return cls(p, a)
 
     @classmethod
-    def from_flat(cls, rows: int, cols: int, entries: Sequence[int], p: int) -> "Mat":
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
-            )
-        return cls(p, np.array(entries, dtype=np.int64).reshape(rows, cols))
-
-    @classmethod
     def block_diag(cls, blocks: Sequence["Mat"]) -> "Mat":
         if not blocks:
             raise DimensionMismatch("block_diag needs at least one block")
@@ -186,10 +128,6 @@ class Mat:
     @property
     def shape(self) -> tuple[int, int]:
         return self.a.shape
-
-    def entry(self, i: int, j: int) -> Fp:
-        """Entry at 1-based (i, j) as a field element."""
-        return Fp(self.p, int(self.a[i - 1, j - 1]))
 
     def entries(self) -> tuple[int, ...]:
         return tuple(int(x) for x in self.a.ravel())
@@ -249,9 +187,6 @@ class Mat:
     def is_zero(self) -> bool:
         return not self.a.any()
 
-    def transpose(self) -> "Mat":
-        return Mat(self.p, self.a.T.copy())
-
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise NotSquare("power of a non-square matrix")
@@ -271,7 +206,7 @@ class Mat:
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
             raise NotSquare(f"invertibility of a {self.rows}x{self.cols} matrix")
-        return _is_invertible(self.a, self.p)
+        return bool(_batch_invertible(self.a[None], self.p)[0])
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -285,21 +220,6 @@ class Mat:
         """Basis of the right null space, as column vectors."""
         ns = _nullspace(self.a, self.p)
         return [Mat(self.p, v.reshape(-1, 1)) for v in ns]
-
-
-# -- spec-named operation wrappers ----------------------------------------
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return a @ b
-
-
-def kernel_basis(a: Mat) -> list[Mat]:
-    return a.kernel_basis()
-
-
-def is_invertible(a: Mat) -> bool:
-    return a.is_invertible()
 
 
 # -- elimination internals (plain int64 arrays) -----------------------------
@@ -334,26 +254,6 @@ def _rank(arr: np.ndarray, p: int) -> int:
     if arr.size == 0:
         return 0
     return len(_rref(arr, p)[1])
-
-
-def _is_invertible(arr: np.ndarray, p: int) -> bool:
-    n = arr.shape[0]
-    if n == 0:
-        return True
-    a = arr.copy() % p
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return False
-        pr = c + int(nz[0])
-        if pr != c:
-            a[[c, pr]] = a[[pr, c]]
-        inv = inv_mod(int(a[c, c]), p)
-        a[c, c:] = (a[c, c:] * inv) % p
-        below = a[c + 1 :, c].copy()
-        if below.any():
-            a[c + 1 :, c:] = (a[c + 1 :, c:] - np.outer(below, a[c, c:])) % p
-    return True
 
 
 def _inverse(arr: np.ndarray, p: int) -> np.ndarray | None:
@@ -407,12 +307,6 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     return None if x is None else Mat(a.p, x)
 
 
-def column_space_basis(a: Mat) -> list[Mat]:
-    """Basis of the column space, as column vectors."""
-    red, pivots = _rref(a.a.T % a.p, a.p)
-    return [Mat(a.p, red[r].reshape(-1, 1)) for r in range(len(pivots))]
-
-
 def tensor_combine(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
     """(..., d) coefficients times a (d, n, m) stack, reduced mod p; falls
     back to exact object arithmetic when int64 accumulation could overflow."""
@@ -421,16 +315,6 @@ def tensor_combine(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
         out = np.tensordot(coeffs.astype(object), stack.astype(object), axes=1) % p
         return out.astype(np.int64)
     return np.tensordot(coeffs, stack, axes=1) % p
-
-
-def combine(coeffs: Sequence[int], mats: Sequence[Mat]) -> Mat:
-    """Linear combination sum(c_i * m_i) over the shared field."""
-    if not mats:
-        raise DimensionMismatch("combination of no matrices")
-    p = mats[0].p
-    stack = np.stack([m.a for m in mats])
-    c = np.asarray(coeffs, dtype=np.int64) % p
-    return Mat(p, tensor_combine(c, stack, p))
 
 
 def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:
@@ -445,22 +329,23 @@ def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:
         return np.ones(b, dtype=bool)
     a = batch.copy()
     alive = np.ones(b, dtype=bool)
-    idx = np.arange(b)
     for c in range(n):
         col = a[:, c:, c] != 0
-        has = col.any(axis=1)
-        alive &= has
+        alive &= col.any(axis=1)
         if not alive.any():
             return alive
         piv = c + np.argmax(col, axis=1)
-        rows_c = a[idx, c, :].copy()
-        a[idx, c, :] = a[idx, piv, :]
-        a[idx, piv, :] = rows_c
+        swap = np.nonzero(piv != c)[0]
+        if swap.size:
+            rows_c = a[swap, c, :].copy()
+            a[swap, c, :] = a[swap, piv[swap], :]
+            a[swap, piv[swap], :] = rows_c
         if c + 1 < n:
-            rest = a[:, c, c, None, None] * a[:, c + 1 :, :]
-            rest -= a[:, c + 1 :, c, None] * a[:, None, c, :]
+            # columns left of c are already zero below the pivot row
+            rest = a[:, c, c, None, None] * a[:, c + 1 :, c:]
+            rest -= a[:, c + 1 :, c, None] * a[:, None, c, c:]
             rest %= p
-            a[:, c + 1 :, :] = rest
+            a[:, c + 1 :, c:] = rest
     return alive
 
 

@@ -38,6 +38,7 @@ from .linalg import (
     Mat,
     _batch_invertible,
     _nullspace,
+    _rref,
     _solve,
     stack_rows,
     tensor_combine,
@@ -261,9 +262,9 @@ def _find_invertible(
     if sol is not None:
         return "yes", Mat.identity(n, p), 0
 
-    for b in basis:
-        if b.is_invertible():
-            return "yes", b, 0
+    hit = np.nonzero(_batch_invertible(stack, p))[0]
+    if hit.size:
+        return "yes", basis[int(hit[0])], 0
 
     searched = 0
     total = p**d
@@ -379,8 +380,6 @@ def _fitting_split(e: Mat, n: int) -> tuple[Mat, Mat] | None:
 
 def _rref_cols(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Column-space basis as the columns of the returned array."""
-    from .linalg import _rref
-
     red, pivots = _rref(arr.T % p, p)
     return red[: len(pivots)].T.copy(), pivots
 

@@ -70,7 +70,6 @@ class RunConfig:
     fields: tuple[int, ...] = (2, 3, 5)
     budget: int = DEFAULT_BUDGET
     seed: int = 0
-    scope: str = "maximal"
     report: str = "text"
     timing: bool = False
 
@@ -79,8 +78,6 @@ class RunConfig:
             check_prime(p)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.scope not in ("all", "maximal"):
-            raise ValueError(f"scope must be 'all' or 'maximal', got {self.scope!r}")
         if self.report not in ("text", "structured"):
             raise ValueError(f"report must be 'text' or 'structured', got {self.report!r}")
 
@@ -519,25 +516,25 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
     )
 
 
-CLAIMS: tuple[tuple[str, tuple[int, ...], object], ...] = (
-    ("tame-pair", (2, 3, 5), _claim_tame_pair),
-    ("wild-pair", (2, 3), _claim_wild_pair),
-    ("indec-rdec", (2, 3), _claim_indec_rdec),
-    ("r-distinct", (2, 3), _claim_r_distinct),
-    ("riso-not-tiso", (2,), _claim_riso_not_tiso),
-    ("jordan-orbit", (2, 3, 5), _claim_jordan_orbit),
-    ("two-generator-orbit", (2, 3), _claim_two_generator_orbit),
-    ("band-scaling", (5,), _claim_band_scaling),
-    ("semidihedral-family", (2,), _claim_semidihedral),
-    ("c-families", (3,), _claim_c_families),
-    ("algebra-laws", (2,), _claim_algebra_laws),
-)
+CLAIMS = {
+    "tame-pair": _claim_tame_pair,
+    "wild-pair": _claim_wild_pair,
+    "indec-rdec": _claim_indec_rdec,
+    "r-distinct": _claim_r_distinct,
+    "riso-not-tiso": _claim_riso_not_tiso,
+    "jordan-orbit": _claim_jordan_orbit,
+    "two-generator-orbit": _claim_two_generator_orbit,
+    "band-scaling": _claim_band_scaling,
+    "semidihedral-family": _claim_semidihedral,
+    "c-families": _claim_c_families,
+    "algebra-laws": _claim_algebra_laws,
+}
 
-CLAIM_IDS = tuple(cid for cid, _, _ in CLAIMS)
+CLAIM_IDS = tuple(CLAIMS)
 
 
 def run_claim(claim_id: str, cfg: RunConfig, p: int) -> ClaimRecord:
-    func = dict((cid, fn) for cid, _, fn in CLAIMS)[claim_id]
+    func = CLAIMS[claim_id]
     start = time.perf_counter()
     try:
         detail = func(cfg, p)
@@ -555,7 +552,7 @@ def run_claim(claim_id: str, cfg: RunConfig, p: int) -> ClaimRecord:
 def run_verification(cfg: RunConfig | None = None) -> Report:
     cfg = cfg or RunConfig()
     records = []
-    for claim_id, _, _ in CLAIMS:
+    for claim_id in CLAIM_IDS:
         for p in cfg.fields:
             records.append(run_claim(claim_id, cfg, p))
     return Report(tuple(records), timing=cfg.timing)

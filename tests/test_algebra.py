@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from modequiv.algebra import (
+    DEFAULT_BUDGET,
+    automorphism_matrices,
     NcPoly,
     Subalgebra,
     algebra_validate,
@@ -17,7 +19,6 @@ from modequiv.algebra import (
     make_free_univariate,
     make_rsz_algebra,
     make_semidihedral_algebra,
-    rsz_as_table,
     _table_automorphism,
 )
 from modequiv.errors import (
@@ -155,12 +156,6 @@ def test_algebra_validate_rejects_corrupt_table():
         algebra_validate(bad)
 
 
-def test_rsz_materializes_as_valid_table():
-    t = rsz_as_table(make_rsz_algebra(2, 3))
-    assert t.dim() == 3
-    algebra_validate(t)
-
-
 # -- evaluate_poly ------------------------------------------------------------
 
 
@@ -268,6 +263,37 @@ def test_budget_exceeded_paths():
         enumerate_automorphisms(make_rsz_algebra(3, 5), budget=1000)
     with pytest.raises(BudgetExceeded):
         enumerate_automorphisms(make_semidihedral_algebra(5))
+
+
+def test_group_cached_once_per_algebra_whatever_the_budget():
+    a = make_rsz_algebra(2, 3)
+    group = enumerate_automorphisms(a)
+    misses = enumerate_automorphisms.cache_info().misses
+    assert enumerate_automorphisms(a, DEFAULT_BUDGET) is group
+    assert enumerate_automorphisms(a, budget=3**4) is group
+    assert enumerate_automorphisms(make_rsz_algebra(2, 3), 2**30) is group
+    assert enumerate_automorphisms.cache_info().misses == misses
+    mats = automorphism_matrices(a)
+    assert automorphism_matrices(a, DEFAULT_BUDGET) is mats
+    assert [f.payload for f in group] == [tuple(map(tuple, m)) for m in mats.tolist()]
+
+
+def test_budget_checked_on_every_call_at_the_candidate_space():
+    rsz = make_rsz_algebra(2, 3)
+    enumerate_automorphisms(rsz)
+    with pytest.raises(BudgetExceeded, match=r"^GL\(2,3\) candidate space 81 exceeds budget 80$"):
+        enumerate_automorphisms(rsz, budget=80)
+    with pytest.raises(BudgetExceeded, match="candidate space 81 exceeds budget 80"):
+        automorphism_matrices(rsz, 80)
+    sd = make_semidihedral_algebra(2)
+    assert len(enumerate_automorphisms(sd, budget=2**12)) == 64
+    with pytest.raises(
+        BudgetExceeded, match="^table automorphism candidate space 4096 exceeds budget 4095$"
+    ):
+        enumerate_automorphisms(sd, budget=4095)
+    # the generator-free algebra of the zero subalgebra has no candidate space
+    zero = enumerate_proper_subalgebras(rsz, "all")[0].as_algebra
+    assert len(enumerate_automorphisms(zero, budget=0)) == 1
 
 
 def test_semidihedral_automorphism_shape_and_count():

@@ -29,6 +29,7 @@ from modequiv.modrep import (
     Verdict,
     conjugate,
     direct_sum,
+    hom_space,
     is_isomorphic,
     module_validate,
     restrict,
@@ -169,6 +170,96 @@ def test_restriction_function_labels_stable():
     part = restriction_function(m1, "maximal")
     assert part.items == tuple(f"s{i}" for i in range(7))
     assert part.representatives[0] == "s0"
+
+
+def _all_pairs_partition(m, scope):
+    """Classes of the restrictions of m from a comparison of every pair,
+    checked to form an equivalence relation; labels as restriction_function's.
+    Unequal Hom dimensions among the pair certify non-isomorphism."""
+    rs = [restrict(m, s) for s in enumerate_proper_subalgebras(m.algebra, scope)]
+
+    def iso(a, b):
+        if a.algebra != b.algebra:
+            return False
+        if len({hom_space(x, y).dim for x in (a, b) for y in (a, b)}) > 1:
+            return False
+        res = is_isomorphic(a, b)
+        assert not res.verdict.is_undecided
+        return res.verdict.is_yes
+
+    same = {(i, j): iso(rs[i], rs[j]) for i, j in itertools.combinations(range(len(rs)), 2)}
+    classes = []
+    for i in range(len(rs)):
+        if any(i in cls for cls in classes):
+            continue
+        cls = (i, *(j for j in range(i + 1, len(rs)) if same[i, j]))
+        assert all(same[j, k] for j, k in itertools.combinations(cls, 2))
+        classes.append(cls)
+    return tuple(tuple(f"s{j}" for j in cls) for cls in classes)
+
+
+# every rsz fixture module, scope and field on which restriction_function
+# decides every comparison it makes, at p = 2 and 3
+_DECIDED_RESTRICTIONS = [
+    (name, idx, scope, p)
+    for name, count in (("tame3", 2), ("rdec4", 1), ("rdist4", 2))
+    for idx in range(count)
+    for scope in ("all", "maximal")
+    for p in (2, 3)
+] + [
+    ("wild6", 0, "maximal", 2),
+    ("wild6", 1, "maximal", 2),
+    ("rnott6", 0, "all", 2),
+    ("rnott6", 1, "all", 2),
+    ("rnott6", 0, "maximal", 2),
+    ("rnott6", 1, "maximal", 2),
+    ("rnott6", 0, "maximal", 3),
+    ("rnott6", 1, "maximal", 3),
+]
+
+
+@pytest.mark.parametrize("name, idx, scope, p", _DECIDED_RESTRICTIONS)
+def test_restriction_function_matches_all_pairs_partition(name, idx, scope, p):
+    m = fixture(name, p)[1][idx]
+    assert restriction_function(m, scope).classes == _all_pairs_partition(m, scope)
+
+
+# -- the three-valued scan shared by the quantified relations -------------------
+
+
+def test_r_isomorphic_undecided_keeps_first_undecided_witness():
+    _, (m1, m2) = fixture("rdist4", 2)
+    res = r_isomorphic(m1, m2, "all", budget=2)
+    assert res.verdict is Verdict.UNDECIDED
+    assert res.checked == 15 and res.witness[0] == 1
+
+
+def test_r_decomposable_undecided_keeps_first_undecided_witness():
+    _, (m1, _) = fixture("wild6", 2)
+    res = r_decomposable(m1, budget=2)
+    assert res.verdict is Verdict.UNDECIDED
+    assert res.checked == 7 and res.witness[0] == 1
+
+
+def test_r_distinct_stops_at_first_isomorphic_restriction():
+    _, (m1, m2) = fixture("rdist4", 2)
+    res = r_distinct(m1, m2, "all")
+    assert res.verdict is Verdict.NO
+    assert res.checked == 1 and res.witness[0] == 0
+
+
+def test_no_after_undecided_wins(monkeypatch):
+    from modequiv import equiv
+    from modequiv.modrep import IsoResult
+
+    verdicts = iter([Verdict.UNDECIDED, Verdict.NO])
+    monkeypatch.setattr(equiv, "is_isomorphic", lambda *a: IsoResult(next(verdicts)))
+    _, (m1, m2) = fixture("tame3", 2)
+    res = r_isomorphic(m1, m2, "all")
+    assert res.verdict is Verdict.NO
+    assert res.witness[0] == 1 and res.witness[2].verdict is Verdict.NO
+    assert res.checked == 2
+    assert res.note == "restriction differs"
 
 
 # -- t_isomorphic ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from modequiv.errors import (
 from modequiv.families import (
     FIXTURE_NAMES,
     INFINITY,
-    FamilySpec,
     b_blowup,
     band_module,
     c2,
@@ -206,12 +205,3 @@ def test_band_twist_scaling_law():
             rhs = band_module((a * a * lam) % p, p)
             assert is_isomorphic(lhs, rhs).verdict.is_yes
 
-
-def test_family_spec_builder():
-    assert FamilySpec("J", (1, 2), 3).build().action[0] == Mat(3, [[1, 0], [1, 1]])
-    assert FamilySpec("K", ("inf", 1), 2).build().action == k_module(INFINITY, 1, 2).action
-    assert FamilySpec("B", (2,), 5).build().dim == 4
-    assert FamilySpec("C2", (1, 2), 3).build().dim == 2
-    assert FamilySpec("C3", (1, 1, 1), 3).build().dim == 5
-    with pytest.raises(UnknownFixture):
-        FamilySpec("Q", (), 2).build()

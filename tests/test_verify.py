@@ -38,8 +38,6 @@ def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(budget=0)
     with pytest.raises(ValueError):
-        RunConfig(scope="everything")
-    with pytest.raises(ValueError):
         RunConfig(report="yaml")
 
 
