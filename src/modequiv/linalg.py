@@ -206,7 +206,7 @@ class Mat:
     def is_invertible(self) -> bool:
         if self.rows != self.cols:
             raise NotSquare(f"invertibility of a {self.rows}x{self.cols} matrix")
-        return bool(_batch_invertible(self.a[None], self.p)[0])
+        return _rank(self.a, self.p) == self.rows
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:

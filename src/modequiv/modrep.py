@@ -2,9 +2,12 @@
 
 A module over a presented algebra is one n x n action matrix per generator,
 subject to the defining relations.  Hom spaces are intertwiner kernels;
-isomorphism testing searches the Hom space exhaustively within a budget
-(sound No by exhaustion) and falls back to seeded random sampling that can
-only answer Yes or Undecided.
+isomorphism testing searches the Hom space exhaustively within a budget and
+falls back to seeded random sampling that can only answer Yes or Undecided.
+A No is sound by exhaustion or by a Hom-dimension obstruction, checked
+before any search beyond one batch.  Indecomposability searches End(M) for
+idempotents in the coordinates of its basis, through End's structure
+constants.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,34 +222,47 @@ class IsoResult:
 # -- invertible element search in a matrix span -----------------------------
 
 
-def _chunked_combos(basis: np.ndarray, p: int, chunk: int = 4096):
-    """Yield (prefix_tuple, suffix_count, batch) covering all coefficient
-    vectors in lexicographic order; batch[k] is the combination for suffix k.
-    The suffix table is kept at or below `chunk` combinations."""
-    d = basis.shape[0]
+def _coefficient_blocks(d: int, p: int, chunk: int = 4096):
+    """Split F_p^d in lexicographic order into (suffixes, prefixes): the
+    (p^lo, lo) table of the last lo coordinates, lo the largest with
+    p^lo <= chunk, and an iterator over the first d - lo coordinates.  Each
+    prefix followed by every suffix, in order, enumerates F_p^d."""
     lo = 0
     while lo < d and p ** (lo + 1) <= chunk:
         lo += 1
-    hi = d - lo
-    suffixes = np.array(
-        list(itertools.product(range(p), repeat=lo)), dtype=np.int64
-    )
+    suffixes = np.indices((p,) * lo, dtype=np.int64).reshape(lo, p**lo).T
+    return suffixes, itertools.product(range(p), repeat=d - lo)
+
+
+def _chunked_combos(basis: np.ndarray, p: int):
+    """Yield the combinations of `basis` for every coefficient vector in
+    lexicographic order, one batch per prefix of _coefficient_blocks."""
+    suffixes, prefixes = _coefficient_blocks(basis.shape[0], p)
+    hi = basis.shape[0] - suffixes.shape[1]
     suffix_combos = tensor_combine(suffixes, basis[hi:], p)
-    for prefix in itertools.product(range(p), repeat=hi):
+    for prefix in prefixes:
         if hi:
             base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:hi], p)
-            yield prefix, suffix_combos.shape[0], (base + suffix_combos) % p
+            yield (base + suffix_combos) % p
         else:
-            yield prefix, suffix_combos.shape[0], suffix_combos
+            yield suffix_combos
 
 
 def _find_invertible(
-    basis: Sequence[Mat], p: int, budget: int, seed: int
+    basis: Sequence[Mat],
+    p: int,
+    budget: int,
+    seed: int,
+    obstructed: Callable[[], bool] | None = None,
 ) -> tuple[str, Mat | None, int]:
     """Search span(basis) for an invertible matrix.
 
     Returns ("yes", witness, searched), ("no", None, searched) with the span
-    fully enumerated, or ("undecided", None, searched).
+    fully enumerated, ("obstructed", None, 0) when the zero-argument
+    callable `obstructed` certifies that no invertible element exists, or
+    ("undecided", None, searched).  The certificate is asked for only once
+    the fast paths and a single-batch exhaustion have not settled the span,
+    and before any random or larger search.
     """
     d = len(basis)
     if d == 0:
@@ -271,7 +287,7 @@ def _find_invertible(
 
     def exhaustive() -> tuple[str, Mat | None, int]:
         nonlocal searched
-        for _, _, batch in _chunked_combos(stack, p):
+        for batch in _chunked_combos(stack, p):
             ok = _batch_invertible(batch, p)
             searched += batch.shape[0]
             hit = np.nonzero(ok)[0]
@@ -281,6 +297,8 @@ def _find_invertible(
 
     if total <= min(4096, budget):
         return exhaustive()
+    if obstructed is not None and obstructed():
+        return "obstructed", None, 0
 
     rng = np.random.default_rng(seed)
 
@@ -312,12 +330,26 @@ def _find_invertible(
     return "undecided", None, searched
 
 
+def _hom_dims_differ(m1: Module, m2: Module, d: int) -> bool:
+    """True when dim End(m1), dim End(m2) or dim Hom(m2, m1) differs from
+    d = dim Hom(m1, m2).  An isomorphism u: m1 -> m2 makes phi -> u^-1 phi,
+    phi -> phi u^-1 and phi -> u^-1 phi u^-1 linear bijections from
+    Hom(m1, m2) onto End(m1), End(m2) and Hom(m2, m1), so any difference
+    certifies that there is none."""
+    return any(hom_space(a, b).dim != d for a, b in ((m1, m1), (m2, m2), (m2, m1)))
+
+
 def _iso_from_hom(
-    m1: Module, m2: Module, hom: HomBasis, budget: int, seed: int
+    m1: Module, m2: Module, hom: HomBasis, budget: int, seed: int, certify: bool = False
 ) -> IsoResult:
+    """Search hom for an isomorphism; with `certify`, a span too large for one
+    batch is first checked for a Hom-dimension obstruction."""
     if m1.dim == 0:
         return IsoResult(Verdict.YES, witness=Mat.zeros(0, 0, m1.algebra.p), note="empty module")
-    status, witness, searched = _find_invertible(hom.basis, m1.algebra.p, budget, seed)
+    obstructed = (lambda: _hom_dims_differ(m1, m2, hom.dim)) if certify else None
+    status, witness, searched = _find_invertible(
+        hom.basis, m1.algebra.p, budget, seed, obstructed
+    )
     if status == "yes":
         _verify_intertwiner(m1, m2, witness)
         return IsoResult(Verdict.YES, witness=witness, hom_dim=hom.dim, searched=searched)
@@ -325,6 +357,8 @@ def _iso_from_hom(
         return IsoResult(
             Verdict.NO, note="exhausted intertwiner space", hom_dim=hom.dim, searched=searched
         )
+    if status == "obstructed":
+        return IsoResult(Verdict.NO, note="hom dimension obstruction", hom_dim=hom.dim)
     return IsoResult(
         Verdict.UNDECIDED,
         note=f"hom space of dim {hom.dim} exceeds budget {budget}",
@@ -338,16 +372,18 @@ def is_isomorphic(
 ) -> IsoResult:
     """Decide module isomorphism.
 
-    No is certain: either the dimensions differ or the whole intertwiner
-    space was enumerated without finding an invertible element.  When the
-    space exceeds the budget, seeded random sampling can still find a
-    witness; otherwise the verdict is Undecided.
+    No is certain: the dimensions differ, the whole intertwiner space was
+    enumerated without finding an invertible element, or dim Hom(m1, m2),
+    dim Hom(m2, m1), dim End(m1) and dim End(m2) are not all equal (checked
+    once the space is larger than one batch of 4096, before any larger
+    search).  When the space exceeds the budget, seeded random sampling can
+    still find a witness; otherwise the verdict is Undecided.
     """
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("isomorphism test for modules over different algebras")
     if m1.dim != m2.dim:
         return IsoResult(Verdict.NO, note="dimension mismatch")
-    return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, seed)
+    return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, seed, certify=True)
 
 
 def _verify_intertwiner(m1: Module, m2: Module, phi: Mat):
@@ -406,7 +442,8 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
 
     A Fitting pre-pass on the End basis cheaply certifies decomposability;
     otherwise the End space is enumerated for nontrivial idempotents within
-    the budget (exhaustion proves indecomposability).
+    the budget (exhaustion proves indecomposability), testing e^2 = e in the
+    coordinates of the End basis through its structure constants.
     """
     n = m.dim
     if n is None or n < 1:
@@ -428,17 +465,74 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
         )
     if d == 0:
         return IndecResult(Verdict.YES, note="trivial endomorphism algebra")
-    stack = np.stack([b.a for b in end.basis])
-    eye = np.eye(n, dtype=np.int64)
-    for _, _, batch in _chunked_combos(stack, p):
-        sq = np.matmul(batch, batch) % p
-        idem_mask = (sq == batch).all(axis=(1, 2))
-        for idx in np.nonzero(idem_mask)[0]:
-            cand = batch[int(idx)]
-            if not cand.any() or np.array_equal(cand, eye):
-                continue
-            return IndecResult(Verdict.NO, idempotent=Mat(p, cand), note="idempotent search")
+    idem = _first_idempotent(np.stack([b.a for b in end.basis]), p)
+    if idem is not None:
+        return IndecResult(Verdict.NO, idempotent=Mat(p, idem), note="idempotent search")
     return IndecResult(Verdict.YES, note=f"no nontrivial idempotent among {p ** d}")
+
+
+def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
+    """gamma[i, j, k] with E_i E_j = sum_k gamma[i, j, k] E_k for the (d, n, n)
+    basis stack of an algebra of matrices, from one solve."""
+    d, n, _ = stack.shape
+    if n * (p - 1) ** 2 > 2**62:
+        prods = np.matmul(stack.astype(object)[:, None], stack.astype(object)[None]) % p
+        prods = prods.astype(np.int64)
+    else:
+        prods = np.matmul(stack[:, None], stack[None]) % p
+    gamma = _solve(stack.reshape(d, n * n).T, prods.reshape(d * d, n * n).T, p)
+    if gamma is None:
+        raise RelationViolated("End basis is not closed under composition")
+    return gamma.T.reshape(d, d, d)
+
+
+def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
+    """The first nontrivial idempotent of the algebra span(stack), in the
+    lexicographic coefficient order of _chunked_combos, or None.
+
+    e = sum_i c_i E_i is idempotent iff Q_k(c) = sum_ij gamma_ijk c_i c_j
+    equals c_k for every k.  Writing c = (x, y) with y a suffix of
+    _coefficient_blocks and s = sum_j y_j E_j, e^2 - e is
+    (x^2 - x) + (xs + sx) + (s^2 - s): the last term is computed once for
+    every suffix, and each prefix x adds a term linear in y, so a batch costs
+    one (p^lo, lo) x (lo, d) product instead of p^lo n x n products.
+
+    Exactness: once lo >= 1 the suffix table fits one chunk, so p <= 4096 and
+    lo <= 12, and the float64 products below have integer terms in [0, p):
+    s^2 - s accumulates lo^2 terms below p^3 (< 2^44) less a residue, a
+    prefix's linear term lo terms below p^2 (< 2^28), and their sum with a
+    residue stays below 2^53 in absolute value, so every float is an exact
+    integer.  With lo = 0 the float terms are residues below 2^31.  The
+    prefix terms go through tensor_combine, exact by its own guard.
+    """
+    d, n, _ = stack.shape
+    gamma = _structure_constants(stack, p)
+    suffixes, prefixes = _coefficient_blocks(d, p)
+    lo = suffixes.shape[1]
+    hi = d - lo
+    # coordinates run down the rows, suffixes along them, so every
+    # elementwise step runs over p^lo contiguous entries
+    y = suffixes.T.astype(np.float64)
+    s_sq = np.zeros((d, y.shape[1]))
+    for i in range(lo):
+        s_sq += (gamma[hi + i, hi:].T @ y) * y[i]
+    s_sq[hi:] -= y
+    # xs + sx = sum_{i < hi, j >= hi} x_i y_j (gamma_ij + gamma_ji)
+    cross = (gamma[:hi, hi:] + gamma[hi:, :hi].transpose(1, 0, 2)) % p
+    eye = np.eye(n, dtype=np.int64)
+    for prefix in prefixes:
+        x = np.array(prefix, dtype=np.int64)
+        x_sq = tensor_combine(x, tensor_combine(x, gamma[:hi, :hi], p), p)
+        x_sq[:hi] -= x
+        rem = s_sq + tensor_combine(x, cross, p).T.astype(np.float64) @ y
+        rem += x_sq[:, None]
+        # rem and rint(rem / p) * p are exact integers below 2^53; they are
+        # equal iff p divides rem, when the division is exact too
+        for idx in np.nonzero((np.rint(rem / p) * p == rem).all(axis=0))[0]:
+            cand = tensor_combine(np.concatenate([x, suffixes[idx]]), stack, p)
+            if cand.any() and not np.array_equal(cand, eye):
+                return cand
+    return None
 
 
 def _restrict_to_invariant(m: Module, cols: Mat) -> Module:

@@ -120,7 +120,9 @@ def test_cli_file_inputs(tmp_path, capsys):
 
 
 def test_cli_undecided_exit_code(tmp_path, capsys):
-    _, (m1, m2) = fixture("tame3", 5)
+    # wild6 at p=2: dim Hom and dim End are all 11, so no dimension
+    # obstruction decides and a unit budget leaves the pair undecided
+    _, (m1, m2) = fixture("wild6", 2)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     p1.write_text(json.dumps(module_to_dict(m1)))
     p2.write_text(json.dumps(module_to_dict(m2)))

@@ -224,14 +224,31 @@ def test_restriction_function_matches_all_pairs_partition(name, idx, scope, p):
     assert restriction_function(m, scope).classes == _all_pairs_partition(m, scope)
 
 
+# restriction_function raised UndecidedError on these before is_isomorphic
+# checked Hom dimensions: each has a pair of restrictions with dim Hom(R1, R2)
+# != dim End(R1) and a Hom space too large to exhaust
+@pytest.mark.parametrize("name, scope, p", [
+    ("wild6", "all", 2),
+    ("rnott6", "all", 3),
+    ("wild6", "maximal", 5),
+])
+def test_restriction_function_certifies_by_hom_dimension(name, scope, p):
+    m = fixture(name, p)[1][0]
+    assert restriction_function(m, scope).classes == _all_pairs_partition(m, scope)
+
+
 # -- the three-valued scan shared by the quantified relations -------------------
 
 
 def test_r_isomorphic_undecided_keeps_first_undecided_witness():
+    # once undecided within budget 2, now settled: subalgebra 0 (W = 0) is a
+    # Yes, and subalgebra 1 a No certified by Hom dimension, which ends the
+    # scan; the first-Undecided rule stays pinned by the r_decomposable case
     _, (m1, m2) = fixture("rdist4", 2)
     res = r_isomorphic(m1, m2, "all", budget=2)
-    assert res.verdict is Verdict.UNDECIDED
-    assert res.checked == 15 and res.witness[0] == 1
+    assert res.verdict is Verdict.NO
+    assert res.checked == 2 and res.witness[0] == 1
+    assert res.witness[2].note == "hom dimension obstruction"
 
 
 def test_r_decomposable_undecided_keeps_first_undecided_witness():

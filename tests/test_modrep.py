@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,11 @@ from modequiv.errors import (
     RelationViolated,
     UnsupportedAlgebraKind,
 )
-from modequiv.families import INFINITY, fixture, jordan, k_module
-from modequiv.linalg import Mat, rand_invertible
+from modequiv.families import FIXTURE_NAMES, INFINITY, band_module, c2, c3, fixture, jordan, k_module
+from modequiv.linalg import Mat, _batch_invertible, rand_invertible
 from modequiv.modrep import (
     Verdict,
+    _first_idempotent,
     conjugate,
     decompose,
     direct_sum,
@@ -153,14 +156,115 @@ def test_is_isomorphic_requires_same_algebra():
 
 
 def test_undecided_when_budget_blocks_exhaustion():
-    # non-isomorphic equal-dimensional pair: a unit budget forbids the
-    # exhaustive sweep, and random sampling can only say yes or undecided
-    m1, m2 = fixture("tame3", 5)[1]
+    # non-isomorphic pair with all four Hom dimensions equal (11): a unit
+    # budget forbids the exhaustive sweep, and random sampling can only say
+    # yes or undecided
+    m1, m2 = fixture("wild6", 2)[1]
     res = is_isomorphic(m1, m2, budget=1, seed=0)
     assert res.verdict is Verdict.UNDECIDED
     assert res.searched >= 10**4
     full = is_isomorphic(m1, m2)
-    assert full.verdict.is_no and full.searched == 5**full.hom_dim
+    assert full.verdict.is_no and full.searched == 2**11 == 2**full.hom_dim
+
+
+# -- the Hom-dimension certificate --------------------------------------------
+
+
+def _four_hom_dims(m1, m2):
+    return [hom_space(a, b).dim for a, b in ((m1, m2), (m2, m1), (m1, m1), (m2, m2))]
+
+
+def test_hom_dimension_obstruction_under_unit_budget():
+    m1, m2 = fixture("tame3", 5)[1]
+    assert len(set(_four_hom_dims(m1, m2))) > 1
+    res = is_isomorphic(m1, m2, budget=1)
+    assert res.verdict.is_no
+    assert res.note == "hom dimension obstruction" and res.searched == 0
+
+
+def test_hom_dimension_obstruction_at_large_prime():
+    # dim Hom = 1 against dim End = 2: No without searching p candidates
+    p = 1048583
+    m1, m2 = c2(1, 1, p), c2(2, 3, p)
+    hom, _, end, _ = _four_hom_dims(m1, m2)
+    assert hom == 1 and end == 2
+    res = is_isomorphic(m1, m2)
+    assert res.verdict.is_no
+    assert res.note == "hom dimension obstruction" and res.searched == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: fixture("tame3", p)[1],
+    lambda p: (direct_sum(jordan(1, 2, p), jordan(1, 1, p)), jordan(1, 3, p)),
+])
+def test_hom_dimension_obstruction_at_65537(make):
+    res = is_isomorphic(*make(65537))
+    assert res.verdict.is_no and res.note == "hom dimension obstruction"
+
+
+def test_small_span_is_exhausted_before_the_certificate():
+    # the obstruction holds, but one batch exhausts 2^4 candidates first
+    m1, m2 = fixture("tame3", 2)[1]
+    assert len(set(_four_hom_dims(m1, m2))) > 1
+    res = is_isomorphic(m1, m2)
+    assert res.note == "exhausted intertwiner space" and res.searched == 2**4
+
+
+def _random_square_zero_module(alg, top, bottom, rng):
+    p, n = alg.p, top + bottom
+    action = []
+    for _ in range(alg.num_generators):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[top:, :top] = rng.integers(0, p, size=(bottom, top))
+        action.append(Mat(p, a))
+    return conjugate(module_validate(alg, action), rand_invertible(n, p, rng))
+
+
+def _exhaustive_isomorphic(m1, m2):
+    """Reference: some element of span Hom(m1, m2) is invertible, found by
+    enumerating every coefficient vector."""
+    p = m1.algebra.p
+    stack = np.stack([b.a for b in hom_space(m1, m2).basis])
+    d = stack.shape[0]
+    coeffs = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    for lo in range(0, len(coeffs), 4096):
+        batch = np.tensordot(coeffs[lo : lo + 4096], stack, axes=1) % p
+        if _batch_invertible(batch, p).any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_iso_verdicts_match_exhaustive_search(p):
+    alg = make_rsz_algebra(2, p)
+    rng = np.random.default_rng(40 + p)
+    shapes = [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
+    seen = {"yes": 0, "certified": 0, "exhausted": 0}
+    for _ in range(24):
+        top, bottom = shapes[int(rng.integers(len(shapes)))]
+        m1 = _random_square_zero_module(alg, top, bottom, rng)
+        if rng.integers(3) == 0:
+            m2 = conjugate(m1, rand_invertible(m1.dim, p, rng))
+        else:
+            m2 = _random_square_zero_module(alg, top, bottom, rng)
+        dims = _four_hom_dims(m1, m2)
+        if p ** dims[0] > 5**7:
+            continue
+        expect = _exhaustive_isomorphic(m1, m2)
+        assert not (expect and len(set(dims)) > 1)
+        res = is_isomorphic(m1, m2)
+        assert res.verdict is (Verdict.YES if expect else Verdict.NO)
+        forced = is_isomorphic(m1, m2, budget=1)
+        if len(set(dims)) > 1:
+            assert forced.verdict.is_no
+            seen["certified"] += 1
+        elif expect:
+            assert forced.verdict in (Verdict.YES, Verdict.UNDECIDED)
+            seen["yes"] += 1
+        else:
+            assert forced.verdict.is_undecided
+            seen["exhausted"] += 1
+    assert seen["yes"] and seen["certified"]
 
 
 # -- indecomposability and decomposition --------------------------------------
@@ -192,6 +296,115 @@ def test_k_modules_indecomposable_small():
         for n in (1, 2):
             for lam in list(range(p)) + [INFINITY]:
                 assert is_indecomposable(k_module(lam, n, p)).verdict.is_yes
+
+
+def _reference_first_idempotent(stack, p):
+    """The per-candidate loop: square every element of span(stack) as a
+    matrix, in lexicographic coefficient order, and return the first
+    idempotent other than 0 and 1."""
+    d, n, _ = stack.shape
+    eye = np.eye(n, dtype=np.int64)
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, p**d, 4096):
+        index = np.arange(lo, min(lo + 4096, p**d), dtype=np.int64)
+        batch = np.tensordot(index[:, None] // weights % p, stack, axes=1) % p
+        idem = (np.matmul(batch, batch) % p == batch).all(axis=(1, 2))
+        for cand in batch[idem]:
+            if cand.any() and not np.array_equal(cand, eye):
+                return cand
+    return None
+
+
+def _end_stack(m):
+    return np.stack([b.a for b in hom_space(m, m).basis])
+
+
+def _assert_same_first_idempotent(m):
+    stack = _end_stack(m)
+    p = m.algebra.p
+    got, want = _first_idempotent(stack, p), _reference_first_idempotent(stack, p)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def _family_modules(p):
+    yield from (k_module(lam, n, p) for lam in (0, 1, INFINITY) for n in (1, 2, 3))
+    yield from (jordan(lam, n, p) for lam in range(p) for n in (2, 3, 4))
+    yield from (c2(a, b, p) for a in range(1, p) for b in range(1, p))
+    yield from (c3(a, b, g, p) for a in range(1, p) for b in range(1, p) for g in range(1, p))
+    yield band_module(1, p)
+    for name in FIXTURE_NAMES:
+        yield from fixture(name, p)[1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coordinate_search_matches_matrix_loop_on_families(p):
+    checked = 0
+    for m in _family_modules(p):
+        d = hom_space(m, m).dim
+        if m.dim > 1 and p**d <= 2**20:
+            _assert_same_first_idempotent(m)
+            checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coordinate_search_matches_matrix_loop_on_direct_sums(p):
+    alg = make_rsz_algebra(2, p)
+    rng = np.random.default_rng(60 + p)
+    found = 0
+    for shapes in [((1, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 2), (1, 0)), ((2, 1), (1, 1))]:
+        parts = [_random_square_zero_module(alg, top, bottom, rng) for top, bottom in shapes]
+        m = direct_sum(*parts)
+        m = conjugate(m, rand_invertible(m.dim, p, rng))
+        if p ** hom_space(m, m).dim <= 2**20:
+            _assert_same_first_idempotent(m)
+            found += _first_idempotent(_end_stack(m), p) is not None
+    assert found
+
+
+def test_coordinate_search_on_largest_budgeted_end_space():
+    # End(K(0,2) + K(1,2)) at p = 2 has dimension 20: the full 2^20 budget
+    m = direct_sum(k_module(0, 2, 2), k_module(1, 2, 2))
+    assert hom_space(m, m).dim == 20
+    _assert_same_first_idempotent(m)
+    assert _first_idempotent(_end_stack(m), 2) is not None
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coordinate_search_needs_both_prefix_and_suffix(p, n, seed):
+    # the algebra F_p E_11 + F_p I + R, R the strictly upper triangular
+    # matrices, in the basis E_11 + r, I, then a random basis of R: the last
+    # p^lo-sized block of basis elements lies in F_p I + R, which holds no
+    # nontrivial idempotent, so the first one needs a nonzero prefix, and it
+    # is E_11 + r' with r' found through the noncommuting products E_11 R
+    rng = np.random.default_rng(seed)
+    upper = np.stack([e(n, i, j, p).a for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    rebased = np.tensordot(rand_invertible(len(upper), p, rng).a, upper, axes=1) % p
+    r = np.tensordot(rng.integers(0, p, size=len(upper)), upper, axes=1)
+    stack = np.stack([(e(n, 1, 1, p).a + r) % p, np.eye(n, dtype=np.int64), *rebased])
+    got = _first_idempotent(stack, p)
+    assert np.array_equal(got, _reference_first_idempotent(stack, p))
+    assert got[0, 0] == 1
+
+
+def test_coordinate_search_with_single_candidate_batches():
+    # at p = 67 > 4096^(1/2) the search takes one suffix coordinate; at
+    # p = 4099 > 4096 every batch holds one candidate
+    diag = np.stack([np.diag([1, 0]), np.diag([0, 1])]).astype(np.int64)
+    got = _first_idempotent(diag, 67)
+    assert np.array_equal(got, _reference_first_idempotent(diag, 67))
+    assert np.array_equal(got, np.diag([0, 1]))
+    assert _first_idempotent(np.eye(2, dtype=np.int64)[None], 4099) is None
+
+
+def test_structure_constants_reject_a_span_not_closed_under_products():
+    # E_12 E_21 = E_11 lies outside span(E_12, E_21)
+    stack = np.stack([e(2, 1, 2, 3).a, e(2, 2, 1, 3).a])
+    with pytest.raises(RelationViolated):
+        _first_idempotent(stack, 3)
 
 
 def test_decompose_trivial():
