@@ -119,16 +119,6 @@ class NcPoly:
         """Largest generator index appearing, or -1 for constants."""
         return max((max(w) for _, w in self.terms if w), default=-1)
 
-    def substitute(self, images: Sequence["NcPoly"]) -> "NcPoly":
-        """Replace generator i by images[i] everywhere."""
-        out = NcPoly.zero(self.p)
-        for c, w in self.terms:
-            term = NcPoly.one(self.p, c)
-            for letter in w:
-                term = term * images[letter]
-            out = out + term
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -298,6 +288,7 @@ def _rsz_generator_names(g: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(g))
 
 
+@lru_cache(maxsize=128)
 def _make_rsz(g: int, p: int) -> Algebra:
     return Algebra(p, RSZ, _rsz_generator_names(g), _rsz_relations(g, p))
 

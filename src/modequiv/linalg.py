@@ -226,28 +226,61 @@ class Mat:
 
 
 def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    a = arr.copy() % p
+    """Reduced row echelon form and pivot columns.
+
+    Reduction mod p is lazy.  Each step reduces only what it reads - the
+    column searched for a pivot, which is also the column of factors, and the
+    pivot row - and updates only columns >= c, since every row but the
+    pivot rows is exactly zero left of c.  The update subtracts a product of
+    two residues, at most (p-1)^2, so an entry that starts in [0, p) stays
+    in [-k (p-1)^2, p) after k updates: the whole array is reduced before an
+    update that would take k past room = 2^62 // (p-1)^2, which keeps every
+    entry inside int64 (room is 1 at p = 2^31 - 1, a full reduction every
+    step), and once more at the end.  Every value read is reduced first, so
+    pivots and the returned array equal those of reducing after every step.
+    The work array is column-major, so the pivot column and the block of
+    columns >= c that each step updates are contiguous.
+    """
+    a = np.asfortranarray(arr % p)
     rows, cols = a.shape
+    room = 2**62 // (p - 1) ** 2
+    pending = 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
+        col = a[:, c]
+        col %= p
+        pr = r
+        if not col[r]:
+            nz = col[r:].nonzero()[0]
+            if not nz.size:
+                continue
+            pr += int(nz[0])
+        pivot_row = a[r, c:]
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
-        factors = a[:, c].copy()
+            other = a[pr, c:]
+            held = other.copy()
+            other[:] = pivot_row
+            pivot_row[:] = held
+        pivot_row %= p
+        lead = int(pivot_row[0])
+        if lead != 1:
+            pivot_row *= inv_mod(lead, p)
+            pivot_row %= p
+        factors = col.copy()
         factors[r] = 0
-        a -= np.outer(factors, a[r])
-        a %= p
+        if pending == room:
+            a %= p
+            pending = 0
+        # transposed, the outer product is column-major like a[:, c:]
+        a[:, c:] -= np.multiply.outer(pivot_row, factors).T
+        pending += 1
         pivots.append(c)
         r += 1
-    return a, pivots
+    a %= p
+    return np.ascontiguousarray(a), pivots
 
 
 def _rank(arr: np.ndarray, p: int) -> int:
@@ -265,22 +298,18 @@ def _inverse(arr: np.ndarray, p: int) -> np.ndarray | None:
     return aug[:, n:]
 
 
-def _nullspace(arr: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis vectors of {v : arr v = 0}, echelon-normalized."""
-    rows, cols = arr.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [np.eye(cols, dtype=np.int64)[i] for i in range(cols)]
+def _nullspace(arr: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {v : arr v = 0} as the rows of a (k, cols) array,
+    echelon-normalized: row i is 1 at the i-th free column, 0 at the other
+    free columns, and minus the reduced entries at the pivot columns."""
+    cols = arr.shape[1]
     red, pivots = _rref(arr, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r, fc]) % p
-        basis.append(v)
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free_cols = np.nonzero(free)[0]
+    basis = np.zeros((free_cols.size, cols), dtype=np.int64)
+    basis[np.arange(free_cols.size), free_cols] = 1
+    basis[:, pivots] = (-red[: len(pivots), free_cols].T) % p
     return basis
 
 

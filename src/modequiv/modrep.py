@@ -188,22 +188,23 @@ class HomBasis:
 
 def hom_space(m1: Module, m2: Module) -> HomBasis:
     """Intertwiners m1 -> m2, computed as the kernel of the stacked
-    linear system on dim(m2) x dim(m1) unknowns."""
+    linear system on dim(m2) x dim(m1) unknowns: row (g, i, j) and column
+    (k, l) hold B_g[i, k] delta_jl - delta_ik A_g[l, j], the entries of
+    kron(B_g, I) - kron(I, A_g^T), built for every generator in one
+    broadcast."""
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("hom space of modules over different algebras")
     n1, n2 = m1.dim, m2.dim
     p = m1.algebra.p
     if n1 == 0 or n2 == 0:
         return HomBasis(m1, m2, ())
-    blocks = []
-    eye1 = np.eye(n1, dtype=np.int64)
-    eye2 = np.eye(n2, dtype=np.int64)
-    for a_g, b_g in zip(m1.action, m2.action):
-        blocks.append((np.kron(b_g.a, eye1) - np.kron(eye2, a_g.a.T)) % p)
-    if not blocks:
-        system = np.zeros((0, n1 * n2), dtype=np.int64)
-    else:
-        system = np.concatenate(blocks, axis=0)
+    g = len(m1.action)
+    a_t = np.array([x.a.T for x in m1.action], dtype=np.int64).reshape(g, n1, n1)
+    b = np.array([x.a for x in m2.action], dtype=np.int64).reshape(g, n2, n2)
+    system = b[:, :, None, :, None] * np.eye(n1, dtype=np.int64)[:, None, :]
+    system -= np.eye(n2, dtype=np.int64)[:, None, :, None] * a_t[:, None, :, None, :]
+    system %= p
+    system = system.reshape(g * n2 * n1, n2 * n1)
     basis = tuple(Mat(p, v.reshape(n2, n1)) for v in _nullspace(system, p))
     return HomBasis(m1, m2, basis)
 
@@ -248,6 +249,21 @@ def _chunked_combos(basis: np.ndarray, p: int):
             yield suffix_combos
 
 
+def _spans_identity(flat: np.ndarray, n: int, p: int) -> bool:
+    """Whether the n x n identity lies in the span of the rows of flat.
+
+    A basis from hom_space is echelon-normalized: with f_i the last nonzero
+    position of row i, row j is delta_ij at f_i, so the coordinates of any
+    element of the span are its entries at the f_i, and I is in the span iff
+    I = sum_i I[f_i] row_i.  Any other basis goes through _solve."""
+    d = flat.shape[0]
+    eye = np.eye(n, dtype=np.int64).ravel()
+    last = flat.shape[1] - 1 - np.argmax(flat[:, ::-1] != 0, axis=1)
+    if np.array_equal(flat[:, last], np.eye(d, dtype=np.int64)):
+        return np.array_equal(tensor_combine(eye[last], flat, p), eye)
+    return _solve(flat.T, eye.reshape(n * n, 1), p) is not None
+
+
 def _find_invertible(
     basis: Sequence[Mat],
     p: int,
@@ -273,9 +289,7 @@ def _find_invertible(
     stack = np.stack([b.a for b in basis])
 
     # identity in the span is the common fast witness
-    flat = stack.reshape(d, n * n)
-    sol = _solve(flat.T, np.eye(n, dtype=np.int64).reshape(n * n, 1), p)
-    if sol is not None:
+    if _spans_identity(stack.reshape(d, n * n), n, p):
         return "yes", Mat.identity(n, p), 0
 
     hit = np.nonzero(_batch_invertible(stack, p))[0]
@@ -610,18 +624,19 @@ def socle_dim(m: Module) -> int:
 
 def restrict(m: Module, s: Subalgebra) -> Module:
     """View m over a subalgebra: the i-th restricted generator acts by the
-    w_basis[i]-combination of the original action matrices."""
+    w_basis[i]-combination of the original action matrices, all mixed in one
+    tensor_combine.  The relations are not re-checked: every product of two
+    combinations of the square-zero generators' actions is a combination of
+    their pairwise products, which vanish on m.  With W = 0 the result has
+    no action and keeps m's dimension."""
     if s.parent != m.algebra:
         raise AlgebraMismatch("subalgebra of a different algebra")
     p = m.algebra.p
-    action = []
-    for row in s.w_basis.a:
-        acc = Mat.zeros(m.dim, m.dim, p)
-        for c, a in zip(row, m.action):
-            acc = acc + int(c) * a
-        action.append(acc)
-    out = Module(s.as_algebra, action, name=f"{m.name}|{s.label()}" if m.name else "")
-    return out if out.dim is not None else out.with_dim(m.dim)
+    stack = np.stack([a.a for a in m.action])
+    mixed = tensor_combine(s.w_basis.a, stack, p)
+    action = tuple(Mat(p, x) for x in mixed)
+    name = f"{m.name}|{s.label()}" if m.name else ""
+    return _module_trusted(s.as_algebra, action, m.dim, name=name)
 
 
 def twist(m: Module, f: Automorphism) -> Module:

@@ -145,10 +145,6 @@ def module_from_dict(data: dict) -> Module:
     return mod if mod.dim is not None else mod.with_dim(n)
 
 
-def module_dumps(m: Module) -> str:
-    return json.dumps(module_to_dict(m), sort_keys=True)
-
-
 def module_loads(text: str) -> Module:
     try:
         data = json.loads(text)

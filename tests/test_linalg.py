@@ -19,7 +19,10 @@ from modequiv.linalg import (
     tensor_combine,
     _batch_invertible,
     _batch_rank,
+    _nullspace,
     _rank,
+    _rref,
+    inv_mod,
 )
 
 
@@ -219,3 +222,82 @@ def test_block_diag_and_power():
     assert d.shape == (3, 3)
     assert a.power(2).is_zero()
     assert Mat.identity(3, 5).power(7) == Mat.identity(3, 5)
+
+
+def _rref_reducing_every_pivot(arr, p):
+    """Reference elimination: the whole array reduced mod p after every pivot."""
+    a = arr.copy() % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * inv_mod(int(a[r, c]), p)) % p
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a -= np.outer(factors, a[r])
+        a %= p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _low_rank(rows, cols, rank, p, rng):
+    left = rng.integers(0, p, size=(rows, rank)).astype(object)
+    right = rng.integers(0, p, size=(rank, cols)).astype(object)
+    return (left @ right % p).astype(np.int64).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65537, 2147483647])
+def test_rref_matches_reducing_every_pivot(p):
+    rng = np.random.default_rng(p % 1000)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (12, 5), (5, 12)]
+    cases = []
+    for rows, cols in shapes:
+        cases.append(np.zeros((rows, cols), dtype=np.int64))
+        cases.append(rng.integers(0, p, size=(rows, cols), dtype=np.int64))
+        cases.append(rng.integers(-(2**40), 2**40, size=(rows, cols), dtype=np.int64))
+        for rank in range(1, min(rows, cols)):
+            cases.append(_low_rank(rows, cols, rank, p, rng))
+    cases.append(np.eye(6, dtype=np.int64))
+    cases.append(rand_invertible(7, p, rng).a)
+    for arr in cases:
+        red, pivots = _rref(arr, p)
+        ref_red, ref_pivots = _rref_reducing_every_pivot(arr, p)
+        assert pivots == ref_pivots
+        assert red.dtype == np.int64 and np.array_equal(red, ref_red)
+
+
+def test_rref_reduces_mid_loop_when_room_runs_out():
+    # room = 2^62 // (p-1)^2 = 4 here, so eight or more pivots force
+    # full reductions inside the elimination loop; the free columns of the
+    # 40 x 44 case take 40 updates, which would leave int64 without them
+    p = 1073741789
+    assert 2**62 // (p - 1) ** 2 == 4
+    rng = np.random.default_rng(5)
+    shapes = ((10, 10), (12, 9), (9, 14), (40, 44))
+    cases = [rng.integers(0, p, size=shape, dtype=np.int64) for shape in shapes]
+    cases.append(_low_rank(11, 13, 9, p, rng))
+    for arr in cases:
+        red, pivots = _rref(arr, p)
+        assert len(pivots) >= 8
+        ref_red, ref_pivots = _rref_reducing_every_pivot(arr, p)
+        assert pivots == ref_pivots and np.array_equal(red, ref_red)
+
+
+def test_nullspace_is_echelon_normalized():
+    p = 5
+    arr = np.array([[1, 2, 0, 3, 1], [0, 0, 1, 4, 2]], dtype=np.int64)
+    basis = _nullspace(arr, p)
+    # free columns 1, 3, 4: identity there, minus the reduced entries at 0, 2
+    assert basis.tolist() == [[3, 1, 0, 0, 0], [2, 0, 1, 1, 0], [4, 0, 3, 0, 1]]
+    assert not ((arr @ basis.T) % p).any()
+    assert _nullspace(np.zeros((0, 3), dtype=np.int64), p).tolist() == np.eye(3).tolist()
+    assert _nullspace(np.zeros((2, 0), dtype=np.int64), p).shape == (0, 0)

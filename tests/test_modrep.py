@@ -19,9 +19,11 @@ from modequiv.errors import (
     UnsupportedAlgebraKind,
 )
 from modequiv.families import FIXTURE_NAMES, INFINITY, band_module, c2, c3, fixture, jordan, k_module
-from modequiv.linalg import Mat, _batch_invertible, rand_invertible
+from modequiv import modrep
+from modequiv.linalg import Mat, _batch_invertible, _nullspace, _solve, rand_invertible
 from modequiv.modrep import (
     Verdict,
+    _spans_identity,
     _first_idempotent,
     conjugate,
     decompose,
@@ -590,3 +592,145 @@ def test_restriction_basis_independence():
         v1 = is_isomorphic(restrict(m1, s), restrict(m2, s)).verdict
         v2 = is_isomorphic(restrict(m1, rebased), restrict(m2, rebased)).verdict
         assert v1 == v2
+
+
+# -- the Hom system and the identity fast path --------------------------------
+
+
+def _square_zero_module(alg, top, bottom, rng):
+    """Generators act by random maps from the top block into the bottom one,
+    so every product of two actions vanishes."""
+    p = alg.p
+    n = top + bottom
+    action = []
+    for _ in alg.generators:
+        a = np.zeros((n, n), dtype=np.int64)
+        a[top:, :top] = rng.integers(0, p, size=(bottom, top))
+        action.append(Mat(p, a))
+    return module_validate(alg, action)
+
+
+def _kron_hom_basis(m1, m2):
+    p = m1.algebra.p
+    n1, n2 = m1.dim, m2.dim
+    eye1 = np.eye(n1, dtype=np.int64)
+    eye2 = np.eye(n2, dtype=np.int64)
+    blocks = [
+        (np.kron(b.a, eye1) - np.kron(eye2, a.a.T)) % p
+        for a, b in zip(m1.action, m2.action)
+    ]
+    return [v.reshape(n2, n1) for v in _nullspace(np.concatenate(blocks), p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_hom_space_matches_kron_system(p, g):
+    rng = np.random.default_rng(g * 31 + p % 97)
+    alg = make_rsz_algebra(g, p)
+    for _ in range(8):
+        t1, t2 = (int(x) for x in rng.integers(1, 4, size=2))
+        b1, b2 = (int(x) for x in rng.integers(0, 4, size=2))
+        if t1 + b1 == t2 + b2:
+            b2 += 1
+        m1 = _square_zero_module(alg, t1, b1, rng)
+        m2 = conjugate(_square_zero_module(alg, t2, b2, rng), rand_invertible(t2 + b2, p, rng))
+        for src, dst in ((m1, m2), (m2, m1)):
+            got = [phi.a for phi in hom_space(src, dst).basis]
+            want = _kron_hom_basis(src, dst)
+            assert len(got) == len(want) > 0
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def _fixture_hom_stacks(p):
+    """(stack, n) for End and equal-dimension Hom bases of the rsz fixtures."""
+    out = []
+    for name in FIXTURE_NAMES:
+        alg, mods = fixture(name, p)
+        if alg.kind != "rsz":
+            continue
+        for s in enumerate_proper_subalgebras(alg, "all"):
+            rs = [restrict(m, s) for m in mods]
+            for src, dst in itertools.product(rs, repeat=2):
+                basis = hom_space(src, dst).basis
+                if basis:
+                    out.append((np.stack([b.a for b in basis]), src.dim))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_identity_fast_path_agrees_with_solve(p, monkeypatch):
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(1)
+        return _solve(*args)
+
+    monkeypatch.setattr(modrep, "_solve", counting_solve)
+    rng = np.random.default_rng(p)
+    seen = set()
+    for stack, n in _fixture_hom_stacks(p):
+        d = stack.shape[0]
+        flat = stack.reshape(d, n * n)
+        eye = np.eye(n, dtype=np.int64).reshape(n * n, 1)
+        expect = _solve(flat.T, eye, p) is not None
+        seen.add(expect)
+        calls.clear()
+        assert _spans_identity(flat, n, p) == expect
+        assert not calls
+        # the same span in a random basis: the pattern check or _solve
+        mixed = (rand_invertible(d, p, rng).a @ flat) % p
+        assert _spans_identity(mixed, n, p) == expect
+    assert seen == {True, False}
+
+
+def test_identity_fast_path_falls_back_on_a_mixed_basis(monkeypatch):
+    p = 3
+    alg, (m1, _) = fixture("wild6", p)
+    end = np.stack([b.a for b in hom_space(m1, m1).basis]).reshape(-1, 36)
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(1)
+        return _solve(*args)
+
+    monkeypatch.setattr(modrep, "_solve", counting_solve)
+    # any order of an echelon-normalized basis keeps the identity pattern
+    assert _spans_identity(end, 6, p) and _spans_identity(end[::-1].copy(), 6, p)
+    assert not calls
+    mixed = end.copy()
+    mixed[0] = (mixed[0] + mixed[-1]) % p
+    assert _spans_identity(mixed, 6, p)
+    assert calls
+    calls.clear()
+    # the last vector is the one at the identity's last coordinate
+    without = end[:-1]
+    assert not _spans_identity(without, 6, p) and not calls
+    without_mixed = without.copy()
+    without_mixed[0] = (without_mixed[0] + without_mixed[-1]) % p
+    assert not _spans_identity(without_mixed, 6, p) and calls
+
+
+def _restrict_by_coefficient_sums(m, s):
+    """Reference restriction: one Mat sum per coefficient, relations re-checked."""
+    p = m.algebra.p
+    action = []
+    for row in s.w_basis.a:
+        acc = Mat.zeros(m.dim, m.dim, p)
+        for c, a in zip(row, m.action):
+            acc = acc + int(c) * a
+        action.append(acc)
+    out = module_validate(s.as_algebra, action, name=f"{m.name}|{s.label()}" if m.name else "")
+    return out if out.dim is not None else out.with_dim(m.dim)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_restrict_equals_coefficient_sums_on_every_fixture(p):
+    for name in FIXTURE_NAMES:
+        alg, mods = fixture(name, p)
+        if alg.kind != "rsz":
+            continue
+        for s in enumerate_proper_subalgebras(alg, "all"):
+            for m in mods:
+                got, want = restrict(m, s), _restrict_by_coefficient_sums(m, s)
+                assert got == want
+                assert (got.name, got.dim, got.algebra) == (want.name, want.dim, want.algebra)
