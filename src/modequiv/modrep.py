@@ -250,18 +250,17 @@ def _chunked_combos(basis: np.ndarray, p: int):
 
 
 def _spans_identity(flat: np.ndarray, n: int, p: int) -> bool:
-    """Whether the n x n identity lies in the span of the rows of flat.
+    """Whether the n x n identity is sum_i I[f_i] row_i, f_i the last nonzero
+    position of row i.
 
-    A basis from hom_space is echelon-normalized: with f_i the last nonzero
-    position of row i, row j is delta_ij at f_i, so the coordinates of any
-    element of the span are its entries at the f_i, and I is in the span iff
-    I = sum_i I[f_i] row_i.  Any other basis goes through _solve."""
-    d = flat.shape[0]
+    A basis from hom_space is echelon-normalized: row j is delta_ij at f_i,
+    so the coordinates of any element of the span are its entries at the
+    f_i, and this is exactly membership of I in the span.  For any other
+    basis a True is still a proof of membership; a False only skips the
+    identity shortcut, and the search after it stays exact."""
     eye = np.eye(n, dtype=np.int64).ravel()
     last = flat.shape[1] - 1 - np.argmax(flat[:, ::-1] != 0, axis=1)
-    if np.array_equal(flat[:, last], np.eye(d, dtype=np.int64)):
-        return np.array_equal(tensor_combine(eye[last], flat, p), eye)
-    return _solve(flat.T, eye.reshape(n * n, 1), p) is not None
+    return np.array_equal(tensor_combine(eye[last], flat, p), eye)
 
 
 def _find_invertible(
