@@ -202,17 +202,29 @@ def restriction_function(
     seed: int = 0,
 ) -> Partition:
     """Partition of the enumerated subalgebras by isomorphism class of the
-    restriction of m; labels are s{index} in enumeration order."""
+    restriction of m; labels are s{index} in enumeration order.
+
+    Each restriction is keyed by its algebra and, where rank profiles are
+    compared, by its profile c -> rank(sum_i c_i A_i): a base change keeps
+    every such rank, so restrictions with unequal keys are non-isomorphic
+    without a search, and is_isomorphic runs only on equal keys."""
     _require_rsz(m)
     subs = enumerate_proper_subalgebras(m.algebra, scope)
     restrictions = [restrict(m, s) for s in subs]
     labels = [f"s{i}" for i in range(len(subs))]
 
+    def key(r: Module) -> tuple:
+        points = _profile_points(r.algebra)
+        if points is None:
+            return (r.algebra,)
+        return r.algebra, _rank_profile(r, points).tobytes()
+
+    keys = [key(r) for r in restrictions]
+
     def same(i: int, j: int) -> bool:
-        a, b = restrictions[i], restrictions[j]
-        if a.algebra != b.algebra:
+        if keys[i] != keys[j]:
             return False
-        res = is_isomorphic(a, b, budget, seed)
+        res = is_isomorphic(restrictions[i], restrictions[j], budget, seed)
         if res.verdict.is_undecided:
             raise UndecidedError(f"restriction comparison {labels[i]} vs {labels[j]} undecided")
         return res.verdict.is_yes

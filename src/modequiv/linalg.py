@@ -6,6 +6,7 @@ All elimination is plain field arithmetic; there is no pivoting tolerance.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -337,13 +338,18 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 
 def tensor_combine(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
-    """(..., d) coefficients times a (d, n, m) stack, reduced mod p; falls
-    back to exact object arithmetic when int64 accumulation could overflow."""
+    """(..., d) coefficients times a (d, ...) stack, reduced mod p, as one
+    (k, d) x (d, l) matrix product; falls back to exact object arithmetic
+    when int64 accumulation could overflow."""
     d = stack.shape[0]
+    shape = coeffs.shape[:-1] + stack.shape[1:]
+    coeffs = coeffs.reshape(math.prod(coeffs.shape[:-1]), d)
+    stack = stack.reshape(d, math.prod(stack.shape[1:]))
     if d and (p - 1) * (p - 1) > (2**62) // max(d, 1):
-        out = np.tensordot(coeffs.astype(object), stack.astype(object), axes=1) % p
-        return out.astype(np.int64)
-    return np.tensordot(coeffs, stack, axes=1) % p
+        out = (coeffs.astype(object) @ stack.astype(object) % p).astype(np.int64)
+    else:
+        out = coeffs @ stack % p
+    return out.reshape(shape)
 
 
 def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:

@@ -5,14 +5,15 @@ subject to the defining relations.  Hom spaces are intertwiner kernels;
 isomorphism testing searches the Hom space exhaustively within a budget and
 falls back to seeded random sampling that can only answer Yes or Undecided.
 A No is sound by exhaustion or by a Hom-dimension obstruction, checked
-before any search beyond one batch.  Indecomposability searches End(M) for
-idempotents in the coordinates of its basis, through End's structure
-constants.
+after a one-batch exhaustion and a 256-element seeded random burst, before
+any larger search.  Indecomposability searches End(M) for idempotents in
+the coordinates of its basis, through End's structure constants.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -49,6 +50,10 @@ from .linalg import (
 
 RANDOM_TRIALS = 10**4
 _QUICK_RANDOM = 256
+# candidates go to _batch_invertible in slices growing from _FIRST_SLICE by
+# x4 up to _SLICE_CAP, the size of one enumeration batch
+_FIRST_SLICE = 16
+_SLICE_CAP = 4096
 
 
 class Verdict(Enum):
@@ -236,17 +241,21 @@ def _coefficient_blocks(d: int, p: int, chunk: int = 4096):
 
 
 def _chunked_combos(basis: np.ndarray, p: int):
-    """Yield the combinations of `basis` for every coefficient vector in
-    lexicographic order, one batch per prefix of _coefficient_blocks."""
+    """Yield (count, combos) per prefix of _coefficient_blocks, in
+    lexicographic order: combos(start, stop) gives the combinations of
+    `basis` for suffixes start:stop after that prefix, so together they
+    enumerate every coefficient vector in order.  A single prefix combines
+    only the slices asked for; with more, the suffix combinations are
+    computed once and shifted by each prefix."""
     suffixes, prefixes = _coefficient_blocks(basis.shape[0], p)
     hi = basis.shape[0] - suffixes.shape[1]
-    suffix_combos = tensor_combine(suffixes, basis[hi:], p)
+    if not hi:
+        yield len(suffixes), lambda a, b: tensor_combine(suffixes[a:b], basis, p)
+        return
+    table = tensor_combine(suffixes, basis[hi:], p)
     for prefix in prefixes:
-        if hi:
-            base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:hi], p)
-            yield (base + suffix_combos) % p
-        else:
-            yield suffix_combos
+        base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:hi], p)
+        yield len(table), lambda a, b: (base + table[a:b]) % p
 
 
 def _spans_identity(flat: np.ndarray, n: int, p: int) -> bool:
@@ -270,14 +279,24 @@ def _find_invertible(
     seed: int,
     obstructed: Callable[[], bool] | None = None,
 ) -> tuple[str, Mat | None, int]:
-    """Search span(basis) for an invertible matrix.
+    """Search span(basis) for an invertible matrix, cheapest evidence first.
 
     Returns ("yes", witness, searched), ("no", None, searched) with the span
     fully enumerated, ("obstructed", None, 0) when the zero-argument
     callable `obstructed` certifies that no invertible element exists, or
-    ("undecided", None, searched).  The certificate is asked for only once
-    the fast paths and a single-batch exhaustion have not settled the span,
-    and before any random or larger search.
+    ("undecided", None, searched).  The order is: the identity, the basis
+    elements, a one-batch exhaustion of a span of at most 4096 elements,
+    a seeded burst of 256 random elements, the certificate, exhaustion
+    within the budget, then RANDOM_TRIALS more random elements; in a process
+    that has not loaded numpy.random yet, the certificate comes before the
+    burst.  The random stream does not depend on the certificate, and a span
+    the certificate obstructs has no invertible element for the burst to
+    find, so the order changes no result.
+
+    Candidates are checked in slices that grow from _FIRST_SLICE by x4 up to
+    _SLICE_CAP across the whole search, in enumeration order, so a Yes
+    found early checks only a few; the witness is the first invertible
+    candidate in that order, and searched the number of candidates checked.
     """
     d = len(basis)
     if d == 0:
@@ -296,43 +315,64 @@ def _find_invertible(
         return "yes", basis[int(hit[0])], 0
 
     searched = 0
+    size = _FIRST_SLICE
     total = p**d
 
-    def exhaustive() -> tuple[str, Mat | None, int]:
-        nonlocal searched
-        for batch in _chunked_combos(stack, p):
-            ok = _batch_invertible(batch, p)
-            searched += batch.shape[0]
-            hit = np.nonzero(ok)[0]
+    def first_invertible(count: int, combos) -> Mat | None:
+        """The first invertible of the count candidates combos(start, stop)
+        enumerates, checked slice by slice."""
+        nonlocal searched, size
+        start = 0
+        while start < count:
+            part = combos(start, min(start + size, count))
+            start += part.shape[0]
+            searched += part.shape[0]
+            size = min(4 * size, _SLICE_CAP)
+            hit = np.nonzero(_batch_invertible(part, p))[0]
             if hit.size:
-                return "yes", Mat(p, batch[int(hit[0])]), searched
+                return Mat(p, part[int(hit[0])])
+        return None
+
+    def exhaustive() -> tuple[str, Mat | None, int]:
+        for count, combos in _chunked_combos(stack, p):
+            witness = first_invertible(count, combos)
+            if witness is not None:
+                return "yes", witness, searched
         return "no", None, total
 
     if total <= min(4096, budget):
         return exhaustive()
-    if obstructed is not None and obstructed():
+
+    def certified_no() -> bool:
+        return obstructed is not None and obstructed()
+
+    # the burst is cheaper than the certificate's three Hom spaces, but the
+    # first import of numpy.random adds about 6 MB of resident memory, which
+    # a span the certificate obstructs never needs: until some search has
+    # loaded it, the certificate goes first.  Both orders give the same
+    # result, since an obstructed span has no invertible element to find.
+    burst_first = "numpy.random" in sys.modules
+    if not burst_first and certified_no():
         return "obstructed", None, 0
 
     rng = np.random.default_rng(seed)
 
     def random_burst(trials: int) -> Mat | None:
-        nonlocal searched
         done = 0
         while done < trials:
             take = min(1024, trials - done)
             coeffs = rng.integers(0, p, size=(take, d), dtype=np.int64)
-            batch = tensor_combine(coeffs, stack, p)
-            ok = _batch_invertible(batch, p)
             done += take
-            searched += take
-            hit = np.nonzero(ok)[0]
-            if hit.size:
-                return Mat(p, batch[int(hit[0])])
+            witness = first_invertible(take, lambda a, b: tensor_combine(coeffs[a:b], stack, p))
+            if witness is not None:
+                return witness
         return None
 
     witness = random_burst(_QUICK_RANDOM)
     if witness is not None:
         return "yes", witness, searched
+    if burst_first and certified_no():
+        return "obstructed", None, 0
 
     if total <= budget:
         return exhaustive()
@@ -356,7 +396,8 @@ def _iso_from_hom(
     m1: Module, m2: Module, hom: HomBasis, budget: int, seed: int, certify: bool = False
 ) -> IsoResult:
     """Search hom for an isomorphism; with `certify`, a span too large for one
-    batch is first checked for a Hom-dimension obstruction."""
+    batch is checked for a Hom-dimension obstruction once the seeded burst
+    has found no witness."""
     if m1.dim == 0:
         return IsoResult(Verdict.YES, witness=Mat.zeros(0, 0, m1.algebra.p), note="empty module")
     obstructed = (lambda: _hom_dims_differ(m1, m2, hom.dim)) if certify else None
@@ -388,9 +429,10 @@ def is_isomorphic(
     No is certain: the dimensions differ, the whole intertwiner space was
     enumerated without finding an invertible element, or dim Hom(m1, m2),
     dim Hom(m2, m1), dim End(m1) and dim End(m2) are not all equal (checked
-    once the space is larger than one batch of 4096, before any larger
-    search).  When the space exceeds the budget, seeded random sampling can
-    still find a witness; otherwise the verdict is Undecided.
+    once the space is larger than one batch of 4096 and a seeded burst of
+    256 random elements has found no witness, before any larger search).
+    When the space exceeds the budget, seeded random sampling can still find
+    a witness; otherwise the verdict is Undecided.
     """
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("isomorphism test for modules over different algebras")
@@ -501,7 +543,7 @@ def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
 
 def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
     """The first nontrivial idempotent of the algebra span(stack), in the
-    lexicographic coefficient order of _chunked_combos, or None.
+    lexicographic coefficient order of _coefficient_blocks, or None.
 
     e = sum_i c_i E_i is idempotent iff Q_k(c) = sum_ij gamma_ijk c_i c_j
     equals c_k for every k.  Writing c = (x, y) with y a suffix of

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from modequiv import equiv
 from modequiv.algebra import (
     DEFAULT_BUDGET,
     enumerate_automorphisms,
@@ -198,23 +199,14 @@ def _all_pairs_partition(m, scope):
     return tuple(tuple(f"s{j}" for j in cls) for cls in classes)
 
 
-# every rsz fixture module, scope and field on which restriction_function
-# decides every comparison it makes, at p = 2 and 3
+# every rsz fixture module, scope and field p = 2, 3: restriction_function
+# decides every comparison it makes on all of them
 _DECIDED_RESTRICTIONS = [
     (name, idx, scope, p)
-    for name, count in (("tame3", 2), ("rdec4", 1), ("rdist4", 2))
+    for name, count in (("tame3", 2), ("rdec4", 1), ("rdist4", 2), ("wild6", 2), ("rnott6", 2))
     for idx in range(count)
     for scope in ("all", "maximal")
     for p in (2, 3)
-] + [
-    ("wild6", 0, "maximal", 2),
-    ("wild6", 1, "maximal", 2),
-    ("rnott6", 0, "all", 2),
-    ("rnott6", 1, "all", 2),
-    ("rnott6", 0, "maximal", 2),
-    ("rnott6", 1, "maximal", 2),
-    ("rnott6", 0, "maximal", 3),
-    ("rnott6", 1, "maximal", 3),
 ]
 
 
@@ -235,6 +227,31 @@ def test_restriction_function_matches_all_pairs_partition(name, idx, scope, p):
 def test_restriction_function_certifies_by_hom_dimension(name, scope, p):
     m = fixture(name, p)[1][0]
     assert restriction_function(m, scope).classes == _all_pairs_partition(m, scope)
+
+
+def test_restriction_function_compares_only_equal_rank_profiles(monkeypatch):
+    compared = []
+
+    def checked(a, b, *args):
+        points = _profile_points(a.algebra)
+        if points is not None and a.action:
+            assert np.array_equal(_rank_profile(a, points), _rank_profile(b, points))
+        compared.append((a, b))
+        return is_isomorphic(a, b, *args)
+
+    monkeypatch.setattr(equiv, "is_isomorphic", checked)
+    for name in ("tame3", "wild6", "rdec4", "rdist4", "rnott6"):
+        for m in fixture(name, 2)[1]:
+            restriction_function(m, "all")
+    assert compared
+
+
+@pytest.mark.parametrize("name", ["tame3", "wild6", "rdec4", "rdist4", "rnott6"])
+def test_restriction_function_classes_survive_a_base_change(name):
+    p = 5
+    m = fixture(name, p)[1][0]
+    m = conjugate(m, rand_invertible(m.dim, p, np.random.default_rng(len(name))))
+    assert restriction_function(m, "maximal").classes == _all_pairs_partition(m, "maximal")
 
 
 # -- the three-valued scan shared by the quantified relations -------------------
@@ -266,7 +283,6 @@ def test_r_distinct_stops_at_first_isomorphic_restriction():
 
 
 def test_no_after_undecided_wins(monkeypatch):
-    from modequiv import equiv
     from modequiv.modrep import IsoResult
 
     verdicts = iter([Verdict.UNDECIDED, Verdict.NO])

@@ -147,6 +147,21 @@ def test_combine_matches_manual_sum():
     assert got.tolist() == [[2, 0], [0, 3]]
 
 
+@pytest.mark.parametrize("p", [5, 2_147_483_647])
+@pytest.mark.parametrize("lead, tail", [((), (4,)), ((7,), (3, 3)), ((2, 5), (2, 4))])
+def test_combine_matches_tensordot(p, lead, tail):
+    # the matmul form against the tensordot it replaced; at p = 2^31 - 1 both
+    # sides run in exact object arithmetic
+    rng = np.random.default_rng(len(lead) + len(tail))
+    d = 3
+    coeffs = rng.integers(0, p, size=lead + (d,), dtype=np.int64)
+    stack = rng.integers(0, p, size=(d,) + tail, dtype=np.int64)
+    expect = np.tensordot(coeffs.astype(object), stack.astype(object), axes=1) % p
+    got = tensor_combine(coeffs, stack, p)
+    assert got.dtype == np.int64 and got.shape == lead + tail
+    assert got.tolist() == np.asarray(expect).tolist()
+
+
 def test_batch_invertible_agrees_with_scalar_path():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):

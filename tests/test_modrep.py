@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from modequiv.errors import (
     UnsupportedAlgebraKind,
 )
 from modequiv.families import FIXTURE_NAMES, INFINITY, band_module, c2, c3, fixture, jordan, k_module
+from modequiv import modrep
 from modequiv.linalg import Mat, _batch_invertible, _nullspace, _solve, rand_invertible
 from modequiv.modrep import (
     Verdict,
+    _find_invertible,
     _spans_identity,
     _first_idempotent,
     conjugate,
@@ -266,6 +269,108 @@ def test_iso_verdicts_match_exhaustive_search(p):
             assert forced.verdict.is_undecided
             seen["exhausted"] += 1
     assert seen["yes"] and seen["certified"]
+
+
+# -- the order of the invertible-element search ---------------------------------
+
+
+def _singular_basis(p, n, d, seed, shared=0):
+    """d random n x n matrices: the last `shared` have row 0 zeroed, so the
+    first p^shared combinations in lexicographic order are singular, and
+    every other matrix i has row i mod n zeroed.  No basis element is
+    invertible, so the search must go past its fast paths."""
+    rng = np.random.default_rng(seed)
+    basis = []
+    for i in range(d):
+        a = rng.integers(0, p, size=(n, n))
+        a[0 if i >= d - shared else i % n] = 0
+        basis.append(Mat(p, a))
+    stack = np.stack([b.a for b in basis])
+    assert not _spans_identity(stack.reshape(d, n * n), n, p)
+    return basis, stack
+
+
+def _slice_end(index):
+    """End of the slice, in the 16, 64, 256, ... growth of one search, that
+    holds candidate `index` of a single batch."""
+    end, size = 0, 16
+    while end <= index:
+        end += size
+        size = min(4 * size, 4096)
+    return end
+
+
+@pytest.mark.parametrize("p, n, d, shared", [
+    (2, 3, 5, 0), (2, 4, 8, 0), (2, 4, 12, 8), (3, 3, 4, 0), (3, 3, 7, 5), (5, 3, 3, 0),
+    (5, 4, 5, 3),
+])
+def test_small_span_witness_is_the_first_invertible_element(p, n, d, shared):
+    basis, stack = _singular_basis(p, n, d, seed=10 * p + d, shared=shared)
+    coeffs = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
+    ok = _batch_invertible(np.tensordot(coeffs, stack, axes=1) % p, p)
+    assert ok.any()
+    first = int(np.argmax(ok))
+    assert first >= p**shared
+    status, witness, searched = _find_invertible(basis, p, 2**20, seed=0)
+    assert status == "yes"
+    assert np.array_equal(witness.a, np.tensordot(coeffs[first], stack, axes=1) % p)
+    assert searched == min(_slice_end(first), p**d)
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 4, 13), (3, 3, 8), (5, 3, 6), (65537, 3, 2)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_large_span_witness_is_the_first_invertible_random_draw(p, n, d, seed):
+    basis, stack = _singular_basis(p, n, d, seed=p + d)
+    coeffs = np.random.default_rng(seed).integers(0, p, (256, d))
+    draws = np.tensordot(coeffs, stack, axes=1) % p
+    first = next(i for i, x in enumerate(draws) if Mat(p, x).is_invertible())
+    status, witness, searched = _find_invertible(basis, p, 2**20, seed)
+    assert status == "yes"
+    assert np.array_equal(witness.a, draws[first])
+    assert searched == _slice_end(first)
+
+
+@pytest.mark.parametrize("p, d", [(2, 5), (2, 13), (3, 8), (5, 6)])
+def test_no_exhaustion_reports_the_whole_span(p, d):
+    # row 0 vanishes in every element of the span
+    basis, _ = _singular_basis(p, 3, d, seed=d, shared=d)
+    assert _find_invertible(basis, p, 2**20, seed=0) == ("no", None, p**d)
+
+
+def _iso_and_hom_calls(monkeypatch, m1, m2):
+    calls = []
+    monkeypatch.setattr(modrep, "hom_space", lambda *a: calls.append(a) or hom_space(*a))
+    return is_isomorphic(m1, m2), len(calls)
+
+
+def test_burst_yes_builds_no_certificate(monkeypatch):
+    # Hom(m, conjugate) has dim 13, so 3^13 candidates: too many for one
+    # batch, and the seeded burst finds the witness before the three Hom
+    # spaces of the dimension certificate are asked for.  In a process
+    # without numpy.random the certificate goes first, with the same result.
+    p = 3
+    m = direct_sum(*fixture("tame3", p)[1])
+    m2 = conjugate(m, rand_invertible(m.dim, p, np.random.default_rng(0)))
+    res, calls = _iso_and_hom_calls(monkeypatch, m, m2)
+    assert res.verdict.is_yes and p**res.hom_dim > 4096 and res.searched > 0
+    assert calls == 1
+    monkeypatch.delitem(sys.modules, "numpy.random")
+    assert _iso_and_hom_calls(monkeypatch, m, m2) == (res, 4)
+
+
+def test_obstruction_before_numpy_random_is_loaded(monkeypatch):
+    # an obstructed span draws nothing while numpy.random is not loaded
+    def no_draws(*args):
+        raise AssertionError("random burst on an obstructed span")
+
+    p = 1048583
+    m1, m2 = c2(1, 1, p), c2(2, 3, p)
+    np.random.default_rng(0)
+    loaded = _iso_and_hom_calls(monkeypatch, m1, m2)
+    monkeypatch.delitem(sys.modules, "numpy.random")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert _iso_and_hom_calls(monkeypatch, m1, m2) == loaded
+    assert loaded[0].note == "hom dimension obstruction"
 
 
 # -- indecomposability and decomposition --------------------------------------
