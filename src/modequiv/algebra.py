@@ -24,7 +24,7 @@ from .errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from .linalg import Mat, _batch_invertible, _rank, check_prime, inv_mod
+from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, inv_mod
 
 RSZ = "rsz"
 FREE_UNIVARIATE = "free_univariate"
@@ -251,27 +251,35 @@ class Algebra:
 
     # -- element arithmetic for table algebras ---------------------------
     def table_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product of two elements given as basis coefficient vectors."""
-        d = len(self.basis_labels)
-        u, v = u % self.p, v % self.p
-        if (self.p - 1) ** 3 * d * d >= 2**63:
-            out = np.einsum(
-                "i,j,ijk->k", u.astype(object), v.astype(object), self.table.astype(object)
-            )
-            return (out % self.p).astype(np.int64)
-        return np.einsum("i,j,ijk->k", u, v, self.table) % self.p
+        """Products of elements given as basis coefficient vectors, batched
+        over leading axes: sum_ij u_i v_j T_ijk as the product of u with the
+        table, then of v with that."""
+        d, p = len(self.basis_labels), self.p
+        left = _mul_arrays(u % p, self.table.reshape(d, d * d), p)
+        left = left.reshape(left.shape[:-1] + (d, d))
+        return _mul_arrays((v % p)[..., None, :], left, p)[..., 0, :]
 
-    def element_of_poly(self, poly: NcPoly, gen_elements: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate a poly with each generator mapped to an element vector."""
-        d = len(self.basis_labels)
-        out = np.zeros(d, dtype=np.int64)
-        unit = np.zeros(d, dtype=np.int64)
-        unit[self.unit_index] = 1
+    def _word_values(self, words, gen_elements) -> dict:
+        """The value of each word and of each of its prefixes, keyed by word,
+        with generator i mapped to gen_elements[i], an element vector or a
+        (..., d) batch of them; each prefix is multiplied out once."""
+        gens = np.asarray(gen_elements, dtype=np.int64) % self.p
+        unit = np.zeros(gens.shape[1:] if gens.ndim > 1 else len(self.basis_labels), np.int64)
+        unit[..., self.unit_index] = 1
+        values = {(): unit, **{(i,): g for i, g in enumerate(gens)}}
+        for w in words:
+            for k in range(2, len(w) + 1):
+                if w[:k] not in values:
+                    values[w[:k]] = self.table_mul(values[w[: k - 1]], gens[w[k - 1]])
+        return values
+
+    def element_of_poly(self, poly: NcPoly, gen_elements) -> np.ndarray:
+        """Evaluate a poly with generator i mapped to gen_elements[i], an
+        element vector or a (..., d) batch of them."""
+        values = self._word_values([w for _, w in poly.terms], gen_elements)
+        out = np.zeros(values[()].shape, dtype=np.int64)
         for c, w in poly.terms:
-            term = unit
-            for letter in w:
-                term = self.table_mul(term, gen_elements[letter])
-            out = (out + c * term) % self.p
+            out = (out + c * values[w]) % self.p
         return out
 
 
@@ -398,34 +406,34 @@ def make_semidihedral_algebra(p: int) -> Algebra:
     return alg
 
 
+def _generator_words(a: Algebra) -> list[int]:
+    """The basis index of each generator of a table algebra."""
+    for i in range(a.num_generators):
+        if (i,) not in a.basis_words:
+            raise TableInconsistent(f"generator {i} is not a basis word")
+    return [a.basis_words.index((i,)) for i in range(a.num_generators)]
+
+
 def algebra_validate(a: Algebra) -> Algebra:
     """Certify a table algebra: two-sided unit, associativity on all basis
     triples, and the listed relations evaluating to zero."""
     if a.kind != TABLE:
         raise UnsupportedAlgebraKind(f"algebra_validate needs a table algebra, got {a.kind}")
     d = len(a.basis_labels)
-    t = a.table
+    t = a.table % a.p
     u = a.unit_index
     eye = np.eye(d, dtype=np.int64)
-    if not np.array_equal(t[u] % a.p, eye) or not np.array_equal(t[:, u, :] % a.p, eye):
+    if not np.array_equal(t[u], eye) or not np.array_equal(t[:, u, :], eye):
         raise TableInconsistent("unit is not two-sided")
-    left = np.einsum("ijm,mkl->ijkl", t, t) % a.p
-    right = np.einsum("jkm,iml->ijkl", t, t) % a.p
+    # (b_i b_j) b_k and b_i (b_j b_k), indexed [i, j, k, l]
+    left = _mul_arrays(t.reshape(d * d, d), t.reshape(d, d * d), a.p).reshape(d, d, d, d)
+    right = _mul_arrays(t.reshape(d * d, d), t, a.p).reshape(d, d, d, d)
     if not np.array_equal(left, right):
         bad = np.argwhere((left != right).any(axis=3))[0]
         raise TableInconsistent(
             f"associativity fails on basis triple {tuple(int(x) for x in bad)}"
         )
-    gens = []
-    for i in range(len(a.generators)):
-        word = (i,)
-        try:
-            gi = a.basis_words.index(word)
-        except ValueError:
-            raise TableInconsistent(f"generator {i} is not a basis word")
-        v = np.zeros(d, dtype=np.int64)
-        v[gi] = 1
-        gens.append(v)
+    gens = eye[_generator_words(a)]
     for rel in a.relations:
         if a.element_of_poly(rel, gens).any():
             raise TableInconsistent(f"relation {rel!r} does not vanish in the table")
@@ -584,26 +592,27 @@ def _dihedral_automorphism(a: Algebra, swap: bool, scale: int) -> Automorphism:
     return Automorphism(a, (swap, scale % a.p))
 
 
-def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> Automorphism | None:
-    """Build and check a table automorphism from generator image vectors."""
-    gen_vecs = [np.asarray(v, dtype=np.int64) % a.p for v in gen_vecs]
+def _table_automorphisms(a: Algebra, gens: np.ndarray) -> list[Automorphism]:
+    """The automorphisms among a (n_gens, B, d) batch of generator images:
+    those on which every relation vanishes and whose induced basis map,
+    column j the image of basis word j, is invertible."""
     for rel in a.relations:
-        if a.element_of_poly(rel, gen_vecs).any():
-            return None
-    d = len(a.basis_labels)
-    cols = np.zeros((d, d), dtype=np.int64)
-    unit = np.zeros(d, dtype=np.int64)
-    unit[a.unit_index] = 1
-    for j, word in enumerate(a.basis_words):
-        img = unit
-        for letter in word:
-            img = a.table_mul(img, gen_vecs[letter])
-        cols[:, j] = img
-    induced = Mat(a.p, cols)
-    if not induced.is_invertible():
-        return None
-    payload = tuple(tuple(int(x) for x in v) for v in gen_vecs)
-    return Automorphism(a, payload, induced=induced)
+        gens = gens[:, ~a.element_of_poly(rel, gens).any(axis=-1)]
+    values = a._word_values(a.basis_words, gens)
+    induced = np.stack([values[w] for w in a.basis_words], axis=-1)
+    keep = _batch_invertible(induced, a.p)
+    return [
+        Automorphism(a, tuple(map(tuple, images)), induced=Mat(a.p, m))
+        for images, m in zip(gens[:, keep].swapaxes(0, 1).tolist(), induced[keep])
+    ]
+
+
+def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> Automorphism | None:
+    """The table automorphism with the given generator images, or None."""
+    found = _table_automorphisms(
+        a, np.reshape(gen_vecs, (len(gen_vecs), 1, len(a.basis_labels))) % a.p
+    )
+    return found[0] if found else None
 
 
 def identity_automorphism(a: Algebra) -> Automorphism:
@@ -614,13 +623,8 @@ def identity_automorphism(a: Algebra) -> Automorphism:
     if a.kind == DIHEDRAL:
         return _dihedral_automorphism(a, False, 1)
     if a.kind == TABLE:
-        d = len(a.basis_labels)
-        vecs = []
-        for i in range(len(a.generators)):
-            v = np.zeros(d, dtype=np.int64)
-            v[a.basis_words.index((i,))] = 1
-            vecs.append(v)
-        f = _table_automorphism(a, vecs)
+        eye = np.eye(len(a.basis_labels), dtype=np.int64)
+        f = _table_automorphism(a, eye[_generator_words(a)])
         assert f is not None
         return f
     raise UnsupportedAlgebraKind(a.kind)
@@ -675,20 +679,14 @@ def _automorphism_group(a: Algebra) -> tuple[Automorphism, ...]:
             out.extend(_dihedral_automorphism(a, True, s) for s in range(1, p))
         return tuple(out)
     if a.kind == TABLE:
-        n_rad = len(a.radical_basis)
-        n_gens = len(a.generators)
-        d = len(a.basis_labels)
+        n_rad, n_gens, d = len(a.radical_basis), a.num_generators, len(a.basis_labels)
         out = []
-        for coeffs in itertools.product(range(p), repeat=n_rad * n_gens):
-            vecs = []
-            for gi in range(n_gens):
-                v = np.zeros(d, dtype=np.int64)
-                for ri, bi in enumerate(a.radical_basis):
-                    v[bi] = coeffs[gi * n_rad + ri]
-                vecs.append(v)
-            f = _table_automorphism(a, vecs)
-            if f is not None:
-                out.append(f)
+        for digits in _lex_batches(n_gens * n_rad, p):
+            # digit g * n_rad + r: coefficient of radical element r in generator g's image
+            images = digits.reshape(len(digits), n_gens, n_rad).swapaxes(0, 1)
+            gens = np.zeros((n_gens, len(digits), d), dtype=np.int64)
+            gens[..., list(a.radical_basis)] = images
+            out.extend(_table_automorphisms(a, gens))
         return tuple(out)
     raise UnsupportedAlgebraKind(a.kind)
 
@@ -697,25 +695,26 @@ def _automorphism_group(a: Algebra) -> tuple[Automorphism, ...]:
 enumerate_automorphisms.cache_info = _automorphism_group.cache_info
 
 
+def _lex_batches(k: int, p: int) -> Iterator[np.ndarray]:
+    """F_p^k in lexicographic order, as (B, k) digit arrays of at most 1024
+    rows."""
+    total = p**k
+    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    # small batches keep the filters' temporaries small: a table product holds
+    # d^2 entries per candidate, and batches of 4096 raised the peak RSS of a
+    # cold semidihedral build at p = 2 by 3 MB
+    for start in range(0, total, 1024):
+        idx = np.arange(start, min(start + 1024, total), dtype=np.int64)
+        yield (idx[:, None] // powers) % p  # big-endian digits = lex order
+
+
 @lru_cache(maxsize=128)
 def _rsz_matrices(a: Algebra) -> np.ndarray:
     """GL(g, p) in lexicographic order of the entries, as one read-only
     (G, g, g) array."""
     g, p = a.num_generators, a.p
-    if g == 0:
-        mats = np.zeros((1, 0, 0), dtype=np.int64)
-    else:
-        total = p ** (g * g)
-        powers = p ** np.arange(g * g - 1, -1, -1, dtype=np.int64)
-        found = []
-        # batches of 4096 keep the elimination's temporaries small: batches
-        # of 65536 raised a process's peak RSS by megabytes
-        for start in range(0, total, 4096):
-            idx = np.arange(start, min(start + 4096, total), dtype=np.int64)
-            digits = (idx[:, None] // powers[None, :]) % p  # big-endian = lex order
-            batch = digits.reshape(-1, g, g)
-            found.append(batch[_batch_invertible(batch, p)])
-        mats = np.concatenate(found)
+    batches = (digits.reshape(len(digits), g, g) for digits in _lex_batches(g * g, p))
+    mats = np.concatenate([m[_batch_invertible(m, p)] for m in batches])
     mats.setflags(write=False)
     return mats
 
@@ -753,9 +752,8 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
             "composite leaves the implemented dihedral automorphism families"
         )
     if a.kind == TABLE:
-        f_vecs = [np.array(v, dtype=np.int64) for v in f.payload]
-        new_vecs = [a.element_of_poly(img, f_vecs) for img in g.images]
-        h = _table_automorphism(a, new_vecs)
+        # g's image of a generator combines basis words; f sends word j to column j
+        h = _table_automorphism(a, _mul_arrays(np.array(g.payload), f.induced.a.T, a.p))
         if h is None:
             raise TableInconsistent("composite of table automorphisms failed validation")
         return h
@@ -780,12 +778,7 @@ def inverse(f: Automorphism) -> Automorphism:
             "inverse leaves the implemented dihedral automorphism families"
         )
     if a.kind == TABLE:
-        inv_map = f.induced.inverse()
-        vecs = []
-        for i in range(len(a.generators)):
-            gi = a.basis_words.index((i,))
-            vecs.append(inv_map.a[:, gi].copy())
-        h = _table_automorphism(a, vecs)
+        h = _table_automorphism(a, f.induced.inverse().a[:, _generator_words(a)].T)
         if h is None:
             raise TableInconsistent("inverse of table automorphism failed validation")
         return h

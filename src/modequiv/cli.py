@@ -117,8 +117,17 @@ def cmd_check(args) -> int:
         _, fixture_mods = fixture(args.fixture, args.field)
         inputs = [f"{args.fixture}.M{i + 1}" for i in range(len(fixture_mods))]
     mods = parse_inputs(inputs, args.field)
-    kind = args.kind
-    budget, seed, structured = args.budget, args.seed, args.report == "structured"
+    structured = args.report == "structured"
+    try:
+        return _run_check(args.kind, mods, args, structured)
+    except UndecidedError as exc:
+        # decompose, torbit and resfn raise it for an undecided comparison inside
+        _emit({"verdict": "undecided", "note": str(exc)}, structured)
+        return EXIT_UNDECIDED
+
+
+def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
+    budget, seed = args.budget, args.seed
 
     def need(count: int):
         if len(mods) != count:
@@ -142,11 +151,7 @@ def cmd_check(args) -> int:
         return _verdict_exit(res.verdict)
     if kind == "decompose":
         need(1)
-        try:
-            parts = decompose(mods[0], budget)
-        except UndecidedError as exc:
-            _emit({"verdict": "undecided", "note": str(exc)}, structured)
-            return EXIT_UNDECIDED
+        parts = decompose(mods[0], budget)
         payload = {
             "verdict": "yes",
             "summand_dims": [part.dim for part in parts],
@@ -177,11 +182,7 @@ def cmd_check(args) -> int:
     if kind == "torbit":
         if len(mods) < 1:
             raise SchemaError("torbit needs at least one module input")
-        try:
-            res = t_orbit(mods[0], mods[1:], budget, seed)
-        except UndecidedError as exc:
-            _emit({"verdict": "undecided", "note": str(exc)}, structured)
-            return EXIT_UNDECIDED
+        res = t_orbit(mods[0], mods[1:], budget, seed)
         payload = {
             "verdict": "yes",
             "classes": [list(cls) for cls in res.partition.classes],
@@ -192,11 +193,7 @@ def cmd_check(args) -> int:
         return EXIT_YES
     if kind == "resfn":
         need(1)
-        try:
-            part = restriction_function(mods[0], args.scope, budget, seed)
-        except UndecidedError as exc:
-            _emit({"verdict": "undecided", "note": str(exc)}, structured)
-            return EXIT_UNDECIDED
+        part = restriction_function(mods[0], args.scope, budget, seed)
         subs = enumerate_proper_subalgebras(mods[0].algebra, args.scope)
         payload = {
             "verdict": "yes",

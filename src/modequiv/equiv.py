@@ -27,7 +27,7 @@ from .algebra import (
     inverse,
 )
 from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
-from .linalg import Mat, _batch_rank, tensor_combine
+from .linalg import Mat, _batch_rank, _mul_arrays, tensor_combine
 from .modrep import (
     Module,
     IsoResult,
@@ -269,7 +269,7 @@ def _twisted_profiles(
     powers = a.p ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
     chunk = max(1, _PROFILE_CELLS // points.size)
     for start in range(0, len(mats), chunk):
-        images = np.matmul(points, mats[start : start + chunk]) % a.p
+        images = _mul_arrays(points, mats[start : start + chunk], a.p)
         yield profile[images @ powers]
 
 

@@ -55,11 +55,14 @@ def _as_array(data, p: int) -> np.ndarray:
 
 
 def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 is safe while inner_dim * (p-1)^2 stays below 2^63
-    inner = a.shape[1]
-    if inner and (p - 1) * (p - 1) > (2**62) // max(inner, 1):
-        return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
-    return (a @ b) % p
+    """a @ b mod p for residue arrays, broadcast like np.matmul; exact object
+    arithmetic once the inner dimension times (p-1)^2 could leave int64."""
+    inner = a.shape[-1]
+    if inner and (p - 1) * (p - 1) > (2**62) // inner:
+        return (np.matmul(a.astype(object), b.astype(object)) % p).astype(np.int64)
+    out = np.matmul(a, b)
+    out %= p  # in place: a batch of table products is a group build's largest temporary
+    return out
 
 
 class Mat:
@@ -339,17 +342,12 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 def tensor_combine(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
     """(..., d) coefficients times a (d, ...) stack, reduced mod p, as one
-    (k, d) x (d, l) matrix product; falls back to exact object arithmetic
-    when int64 accumulation could overflow."""
+    (k, d) x (d, l) matrix product."""
     d = stack.shape[0]
     shape = coeffs.shape[:-1] + stack.shape[1:]
     coeffs = coeffs.reshape(math.prod(coeffs.shape[:-1]), d)
     stack = stack.reshape(d, math.prod(stack.shape[1:]))
-    if d and (p - 1) * (p - 1) > (2**62) // max(d, 1):
-        out = (coeffs.astype(object) @ stack.astype(object) % p).astype(np.int64)
-    else:
-        out = coeffs @ stack % p
-    return out.reshape(shape)
+    return _mul_arrays(coeffs, stack, p).reshape(shape)
 
 
 def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:

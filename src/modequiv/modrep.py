@@ -5,9 +5,10 @@ subject to the defining relations.  Hom spaces are intertwiner kernels;
 isomorphism testing searches the Hom space exhaustively within a budget and
 falls back to seeded random sampling that can only answer Yes or Undecided.
 A No is sound by exhaustion or by a Hom-dimension obstruction, checked
-after a one-batch exhaustion and a 256-element seeded random burst, before
-any larger search.  Indecomposability searches End(M) for idempotents in
-the coordinates of its basis, through End's structure constants.
+after a one-batch exhaustion and a 256-element seeded random burst (before
+the burst while numpy.random is not loaded), before any larger search.
+Indecomposability searches End(M) for idempotents in the coordinates of its
+basis, through End's structure constants.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
 from .linalg import (
     Mat,
     _batch_invertible,
+    _mul_arrays,
     _nullspace,
     _rref,
     _solve,
@@ -108,12 +110,7 @@ class Module:
         """Pin the dimension of a generator-free module."""
         if self.action:
             raise DimensionMismatch("dimension is determined by the action matrices")
-        m = Module.__new__(Module)
-        object.__setattr__(m, "algebra", self.algebra)
-        object.__setattr__(m, "dim", n)
-        object.__setattr__(m, "action", ())
-        object.__setattr__(m, "name", self.name)
-        return m
+        return _module_trusted(self.algebra, (), n, self.name)
 
     def __eq__(self, other):
         return (
@@ -429,8 +426,9 @@ def is_isomorphic(
     No is certain: the dimensions differ, the whole intertwiner space was
     enumerated without finding an invertible element, or dim Hom(m1, m2),
     dim Hom(m2, m1), dim End(m1) and dim End(m2) are not all equal (checked
-    once the space is larger than one batch of 4096 and a seeded burst of
-    256 random elements has found no witness, before any larger search).
+    once the space is larger than one batch of 4096, after a seeded burst of
+    256 random elements has found no witness, or before the burst while
+    numpy.random is not loaded; either way before any larger search).
     When the space exceeds the budget, seeded random sampling can still find
     a witness; otherwise the verdict is Undecided.
     """
@@ -530,11 +528,7 @@ def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
     """gamma[i, j, k] with E_i E_j = sum_k gamma[i, j, k] E_k for the (d, n, n)
     basis stack of an algebra of matrices, from one solve."""
     d, n, _ = stack.shape
-    if n * (p - 1) ** 2 > 2**62:
-        prods = np.matmul(stack.astype(object)[:, None], stack.astype(object)[None]) % p
-        prods = prods.astype(np.int64)
-    else:
-        prods = np.matmul(stack[:, None], stack[None]) % p
+    prods = _mul_arrays(stack[:, None], stack[None], p)
     gamma = _solve(stack.reshape(d, n * n).T, prods.reshape(d * d, n * n).T, p)
     if gamma is None:
         raise RelationViolated("End basis is not closed under composition")
@@ -558,7 +552,7 @@ def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
     prefix's linear term lo terms below p^2 (< 2^28), and their sum with a
     residue stays below 2^53 in absolute value, so every float is an exact
     integer.  With lo = 0 the float terms are residues below 2^31.  The
-    prefix terms go through tensor_combine, exact by its own guard.
+    prefix terms go through tensor_combine, which is exact at every p.
     """
     d, n, _ = stack.shape
     gamma = _structure_constants(stack, p)

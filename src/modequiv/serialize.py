@@ -73,12 +73,23 @@ def algebra_from_dict(data: dict) -> Algebra:
             if "products" not in data:
                 raise SchemaError("table algebra needs 'products' or a known 'name'")
             words = tuple(tuple(int(i) for i in w) for w in data["words"])
-            labels = tuple(str(s) for s in data.get("basis", range(len(words))))
+            d = len(words)
+            labels = tuple(str(s) for s in data.get("basis", range(d)))
             n_gens = int(data.get("generators", 1 + max(max(w, default=0) for w in words)))
             relations = tuple(
                 NcPoly(p, [(int(c), tuple(int(i) for i in w)) for c, w in rel])
                 for rel in data.get("relations", [])
             )
+            unit, radical = int(data["unit"]), tuple(int(i) for i in data["radical"])
+            table = np.array(data["products"], dtype=np.int64) % p
+            letters = {i for rel in relations for _, w in rel.terms for i in w}.union(*words)
+            if (len(labels), table.shape) != (d, (d, d, d)) or not (
+                {unit, *radical} <= set(range(d)) and letters <= set(range(n_gens))
+            ):
+                raise SchemaError(
+                    f"a table on {d} basis words needs {d} labels, ({d}, {d}, {d}) products, "
+                    f"unit and radical indices below {d} and generator indices below {n_gens}"
+                )
             alg = Algebra(
                 p,
                 TABLE,
@@ -86,9 +97,9 @@ def algebra_from_dict(data: dict) -> Algebra:
                 relations,
                 basis_labels=labels,
                 basis_words=words,
-                unit_index=int(data["unit"]),
-                radical_basis=tuple(int(i) for i in data["radical"]),
-                table=np.array(data["products"], dtype=np.int64) % p,
+                unit_index=unit,
+                radical_basis=radical,
+                table=table,
             )
             return algebra_validate(alg)
     except ModEquivError:
@@ -130,6 +141,8 @@ def module_from_dict(data: dict) -> Module:
         raise SchemaError(f"module needs 'algebra', 'dim', 'action': {exc}") from exc
     if n < 0:
         raise SchemaError(f"dim must be >= 0, got {n}")
+    if not isinstance(action_data, list):
+        raise SchemaError(f"action must be a list of matrices, got {type(action_data).__name__}")
     if len(action_data) != alg.num_generators:
         raise SchemaError(
             f"{alg.num_generators} generators need {alg.num_generators} action "

@@ -132,6 +132,45 @@ def test_table_mul_exact_at_modulus_ceiling():
     got = list(a.table_mul(u, u))
     xy = (p - 1) * (p - 2) % p
     assert got == [0, 0, 0, xy, xy, (p - 2) ** 2 % p, 0]
+    # an (N, d) batch equals its rows' products, exact on the object path at
+    # 2^31 - 1 and on the int64 path at 3
+    for p in (2_147_483_647, 3):
+        a = make_semidihedral_algebra(p)
+        u, v = np.random.default_rng(p % 97).integers(0, p, size=(2, 40, 7))
+        rows = [
+            np.einsum("i,j,ijk->k", x.astype(object), y.astype(object), a.table.astype(object)) % p
+            for x, y in zip(u, v)
+        ]
+        assert [list(a.table_mul(x, y)) for x, y in zip(u, v)] == [list(r) for r in rows]
+        assert a.table_mul(u, v).tolist() == [list(r) for r in rows]
+
+
+def test_associativity_check_exact_at_modulus_ceiling():
+    """A base change of the semidihedral table at p = 2^31 - 1 has structure
+    constants near p, whose products overflow int64 if summed there."""
+    p = 2_147_483_647
+    a = make_semidihedral_algebra(p)
+    change = np.eye(7, dtype=np.int64)
+    change[1:, 1:] = np.random.default_rng(3).integers(0, p, size=(6, 6))
+    change_inv = Mat(p, change).inverse().a.astype(object)
+    table = np.einsum(
+        "ia,jb,abc,ck->ijk", change.astype(object), change.astype(object),
+        a.table.astype(object), change_inv,
+    ) % p
+    from modequiv.algebra import Algebra, TABLE
+
+    rebased = Algebra(
+        p,
+        TABLE,
+        a.generators,
+        (),
+        basis_labels=a.basis_labels,
+        basis_words=a.basis_words,
+        unit_index=0,
+        radical_basis=a.radical_basis,
+        table=table.astype(np.int64),
+    )
+    assert algebra_validate(rebased) is rebased
 
 
 def test_algebra_validate_rejects_corrupt_table():
@@ -311,6 +350,40 @@ def test_semidihedral_automorphism_shape_and_count():
                 expected.add((xv, yv))
         assert found == expected
         assert len(found) == (p - 1) * p**6
+
+
+def _table_group_one_candidate_at_a_time(a):
+    """The table group as a loop over single candidates in itertools.product
+    order: einsum products word by word, a relation check, then the rank of
+    the induced basis map."""
+    p, d, n_gens, n_rad = a.p, len(a.basis_labels), len(a.generators), len(a.radical_basis)
+    unit = np.zeros(d, dtype=np.int64)
+    unit[a.unit_index] = 1
+
+    def value(word, gens):
+        out = unit
+        for letter in word:
+            out = np.einsum("i,j,ijk->k", out, gens[letter], a.table) % p
+        return out
+
+    group = []
+    for coeffs in itertools.product(range(p), repeat=n_gens * n_rad):
+        gens = np.zeros((n_gens, d), dtype=np.int64)
+        gens[:, list(a.radical_basis)] = np.reshape(coeffs, (n_gens, n_rad))
+        if any(
+            (sum(c * value(w, gens) for c, w in rel.terms) % p).any() for rel in a.relations
+        ):
+            continue
+        induced = np.stack([value(w, gens) for w in a.basis_words], axis=1)
+        if Mat(p, induced).rank() == d:
+            group.append((tuple(map(tuple, gens.tolist())), induced.tolist()))
+    return group
+
+
+def test_table_group_matches_one_candidate_at_a_time():
+    a = make_semidihedral_algebra(2)
+    found = [(f.payload, f.induced.a.tolist()) for f in enumerate_automorphisms(a)]
+    assert found == _table_group_one_candidate_at_a_time(a)
 
 
 def test_semidihedral_automorphisms_fix_unit_and_radical():

@@ -66,6 +66,23 @@ def test_module_schema_errors():
         module_from_dict({"dim": 2})
     with pytest.raises(SchemaError):
         module_loads("not json")
+    for bad in _MALFORMED_MODULES:
+        with pytest.raises(SchemaError):
+            module_from_dict(bad)
+
+
+_SD2 = algebra_to_dict(make_semidihedral_algebra(2))
+_SD2_MODULE = {"algebra": _SD2, "dim": 1, "action": [[0], [0]]}
+# each of these once crashed with a TypeError or IndexError instead of a SchemaError
+_MALFORMED_MODULES = [
+    {"algebra": {"field": 2, "kind": "rsz", "generators": 2}, "dim": 2, "action": 7},
+    dict(_SD2_MODULE, algebra=dict(_SD2, products=0)),
+    dict(_SD2_MODULE, algebra=dict(_SD2, products=_SD2["products"][:6])),
+    dict(_SD2_MODULE, algebra=dict(_SD2, unit=7)),
+    dict(_SD2_MODULE, algebra=dict(_SD2, unit=-1)),
+    dict(_SD2_MODULE, algebra=dict(_SD2, radical=[1, 2, 3, 4, 5, 9])),
+    dict(_SD2_MODULE, algebra=dict(_SD2, relations=_SD2["relations"] + [[[1, [0, 5]]]])),
+]
 
 
 def test_module_with_violated_relation_raises():
@@ -147,6 +164,14 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["check", "iso", str(short), str(short)]) == 3
     assert main(["check", "iso", "wild6.M1"]) == 3  # wrong arity
     assert main(["check", "iso", "wild6.M9", "wild6.M1"]) == 3
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_SD2_MODULE))
+    capsys.readouterr()
+    for i, data in enumerate(_MALFORMED_MODULES):
+        path = tmp_path / f"malformed{i}.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "tiso", str(path), str(good)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_indec_and_rdecomp(capsys):
