@@ -631,20 +631,24 @@ def identity_automorphism(a: Algebra) -> Automorphism:
 
 
 def _check_budget(a: Algebra, budget: int):
-    """Refuse a group whose candidate space exceeds the budget."""
-    p = a.p
-    if a.kind == RSZ and a.num_generators:
-        g = a.num_generators
-        if p ** (g * g) > budget:
-            raise BudgetExceeded(
-                f"GL({g},{p}) candidate space {p ** (g * g)} exceeds budget {budget}"
-            )
-    if a.kind == TABLE:
-        space = p ** (len(a.radical_basis) * len(a.generators))
-        if space > budget:
-            raise BudgetExceeded(
-                f"table automorphism candidate space {space} exceeds budget {budget}"
-            )
+    """Refuse a group whose candidate space exceeds the budget: p^(g^2)
+    matrices for rsz, p(p-1) affine maps for free, 2(p-1) scalings and swaps
+    for dihedral, and p^(radical dim * generators) images for table algebras.
+    The generator-free rsz algebra has no candidate space."""
+    p, g = a.p, a.num_generators
+    name = f"{a.kind} automorphism"
+    if a.kind == RSZ:
+        space, name = (p ** (g * g) if g else 0), f"GL({g},{p})"
+    elif a.kind == FREE_UNIVARIATE:
+        space = p * (p - 1)
+    elif a.kind == DIHEDRAL:
+        space = 2 * (p - 1)
+    elif a.kind == TABLE:
+        space = p ** (len(a.radical_basis) * g)
+    else:
+        raise UnsupportedAlgebraKind(a.kind)
+    if space > budget:
+        raise BudgetExceeded(f"{name} candidate space {space} exceeds budget {budget}")
 
 
 def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[Automorphism, ...]:

@@ -335,6 +335,23 @@ def test_budget_checked_on_every_call_at_the_candidate_space():
     assert len(enumerate_automorphisms(zero, budget=0)) == 1
 
 
+@pytest.mark.parametrize(
+    "make, budget, space",
+    [
+        (lambda: make_free_univariate(65537), DEFAULT_BUDGET, 65537 * 65536),
+        (lambda: make_free_univariate(2**31 - 1), DEFAULT_BUDGET, (2**31 - 1) * (2**31 - 2)),
+        (lambda: make_dihedral_algebra(1, 1, 1, 65537), 2 * 65536 - 1, 2 * 65536),
+        (lambda: make_dihedral_algebra(1, 1, 0, 2**31 - 1), DEFAULT_BUDGET, 2 * (2**31 - 2)),
+    ],
+)
+def test_free_and_dihedral_budget_refused_before_any_build(make, budget, space):
+    a = make()
+    misses = enumerate_automorphisms.cache_info().misses
+    with pytest.raises(BudgetExceeded, match=f"candidate space {space} exceeds budget {budget}$"):
+        enumerate_automorphisms(a, budget)
+    assert enumerate_automorphisms.cache_info().misses == misses
+
+
 def test_semidihedral_automorphism_shape_and_count():
     """Cross-check the brute-force search against the solved parametrization:
     f(x) = a1 x + a3(xy - yx) + a5 xyx + a6 yxy, f(y) = a1^2 y + c3(xy - yx)

@@ -174,6 +174,17 @@ def test_cli_input_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_tiso_free_algebra_past_the_budget_is_an_input_error(tmp_path, capsys):
+    # k[X] at p = 65537 has p(p-1) > 2^20 affine automorphisms
+    paths = []
+    for lam in (0, 1):
+        path = tmp_path / f"j{lam}.json"
+        path.write_text(json.dumps(module_to_dict(jordan(lam, 2, 65537))))
+        paths.append(str(path))
+    assert main(["check", "tiso", *paths]) == 3
+    assert "candidate space 4295032832 exceeds budget" in capsys.readouterr().err
+
+
 def test_cli_indec_and_rdecomp(capsys):
     assert main(["check", "indec", "rdec4.M1"]) == 0
     capsys.readouterr()
