@@ -9,9 +9,10 @@ tables (used for the 7-dimensional semidihedral algebra).
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,16 +66,8 @@ class NcPoly:
         raise AttributeError("NcPoly is immutable")
 
     @classmethod
-    def zero(cls, p: int) -> "NcPoly":
-        return cls(p, [])
-
-    @classmethod
     def one(cls, p: int, coeff: int = 1) -> "NcPoly":
         return cls(p, [(coeff, ())])
-
-    @classmethod
-    def gen(cls, p: int, i: int, coeff: int = 1) -> "NcPoly":
-        return cls(p, [(coeff, (i,))])
 
     @classmethod
     def word(cls, p: int, letters: Sequence[int], coeff: int = 1) -> "NcPoly":
@@ -129,6 +122,17 @@ class NcPoly:
         return " + ".join(bits)
 
 
+def word_values(words, gens, unit, mul) -> dict:
+    """The value of each word and of its prefixes, keyed by word: () is unit,
+    (i,) is gens[i], and each longer prefix is mul(shorter prefix, letter)."""
+    values = {(): unit, **{(i,): g for i, g in enumerate(gens)}}
+    for w in words:
+        for k in range(2, len(w) + 1):
+            if w[:k] not in values:
+                values[w[:k]] = mul(values[w[: k - 1]], gens[w[k - 1]])
+    return values
+
+
 def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
     """Evaluate at one square matrix per generator; the empty word is the identity."""
     if poly.max_generator >= len(assignment):
@@ -143,16 +147,11 @@ def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
             if m.p != p:
                 raise ModulusMismatch("assignment matrices over different moduli")
     else:
-        if poly.max_generator >= 0:
-            raise DimensionMismatch("no matrices supplied")
         n, p = 0, poly.p
     out = Mat.zeros(n, n, p)
-    eye = Mat.identity(n, p)
+    values = word_values([w for _, w in poly.terms], assignment, Mat.identity(n, p), Mat.__matmul__)
     for c, w in poly.terms:
-        term = eye
-        for letter in w:
-            term = term @ assignment[letter]
-        out = out + c * term
+        out = out + c * values[w]
     return out
 
 
@@ -260,18 +259,12 @@ class Algebra:
         return _mul_arrays((v % p)[..., None, :], left, p)[..., 0, :]
 
     def _word_values(self, words, gen_elements) -> dict:
-        """The value of each word and of each of its prefixes, keyed by word,
-        with generator i mapped to gen_elements[i], an element vector or a
-        (..., d) batch of them; each prefix is multiplied out once."""
+        """word_values with generator i mapped to gen_elements[i], an element
+        vector or a (..., d) batch of them."""
         gens = np.asarray(gen_elements, dtype=np.int64) % self.p
         unit = np.zeros(gens.shape[1:] if gens.ndim > 1 else len(self.basis_labels), np.int64)
         unit[..., self.unit_index] = 1
-        values = {(): unit, **{(i,): g for i, g in enumerate(gens)}}
-        for w in words:
-            for k in range(2, len(w) + 1):
-                if w[:k] not in values:
-                    values[w[:k]] = self.table_mul(values[w[: k - 1]], gens[w[k - 1]])
-        return values
+        return word_values(words, gens, unit, self.table_mul)
 
     def element_of_poly(self, poly: NcPoly, gen_elements) -> np.ndarray:
         """Evaluate a poly with generator i mapped to gen_elements[i], an
@@ -527,37 +520,47 @@ def enumerate_proper_subalgebras(a: Algebra, scope: str = "all") -> list[Subalge
 # -- automorphisms -----------------------------------------------------------
 
 
+def image_words(a: Algebra) -> tuple[tuple[int, ...], ...]:
+    """The words generator images combine: the generators (rsz, dihedral),
+    1 and X (k[X]), or the basis words (table)."""
+    if a.kind == TABLE:
+        return a.basis_words
+    if a.kind == FREE_UNIVARIATE:
+        return ((), (0,))
+    return tuple((i,) for i in range(a.num_generators))
+
+
 @dataclass(frozen=True)
 class Automorphism:
     """An algebra automorphism, stored as its kind-specific canonical form.
 
     payload is the generator-mixing matrix for rsz, (a, b) for X -> aX + b,
     (swap, a) for dihedral scalings, and the tuple of generator-image
-    coefficient vectors for table algebras.  induced is the basis-to-basis
-    linear map (table algebras only).
+    coefficient vectors for table algebras; everything else is derived.
     """
 
     algebra: Algebra
     payload: tuple
-    induced: Mat | None = None
 
-    @cached_property
-    def images(self) -> tuple[NcPoly, ...]:
-        """Per-generator image polynomials, derived from the payload."""
-        a, p = self.algebra, self.algebra.p
-        if a.kind == RSZ:
-            return tuple(NcPoly(p, [(c, (j,)) for j, c in enumerate(row)]) for row in self.payload)
+    @property
+    def coefficients(self) -> np.ndarray:
+        """(n_gens, W) array: row i holds generator i's image over the W
+        words of image_words(algebra)."""
+        a, rows = self.algebra, self.payload
         if a.kind == FREE_UNIVARIATE:
-            coeff, shift = self.payload
-            return (NcPoly(p, [(coeff, (0,)), (shift, ())]),)
-        if a.kind == DIHEDRAL:
-            swap, scale = self.payload
-            if swap:
-                return (NcPoly.gen(p, 1), NcPoly.gen(p, 0, scale))
-            return (NcPoly.gen(p, 0), NcPoly.gen(p, 1, scale))
-        return tuple(
-            NcPoly(p, [(c, a.basis_words[i]) for i, c in enumerate(v) if c]) for v in self.payload
-        )
+            rows = [rows[::-1]]  # X -> aX + b over the words (1, X)
+        elif a.kind == DIHEDRAL:
+            swap, scale = rows
+            rows = [[0, 1], [scale, 0]] if swap else [[1, 0], [0, scale]]
+        return np.array(rows, dtype=np.int64).reshape(a.num_generators, len(image_words(a))) % a.p
+
+    @property
+    def induced(self) -> Mat:
+        """The basis-to-basis linear map, column j the image of basis word j
+        (table algebras only)."""
+        if self.algebra.kind != TABLE:
+            raise UnsupportedAlgebraKind("induced basis maps only exist for table automorphisms")
+        return Mat(self.algebra.p, _induced(self.algebra, np.array(self.payload, dtype=np.int64)))
 
     def describe(self) -> str:
         kind = self.algebra.kind
@@ -571,87 +574,90 @@ class Automorphism:
             return ("swap, " if swap else "") + f"Y -> {a}Y"
         return f"gen-images {list(self.payload)}"
 
-    @property
-    def matrix(self) -> Mat:
-        """Generator-mixing matrix (rsz only); row i holds the image of gen i."""
-        if self.algebra.kind != RSZ:
-            raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
-        g = self.algebra.num_generators
-        return Mat(self.algebra.p, np.array(self.payload, dtype=np.int64).reshape(g, g))
+
+def _from_payload(a: Algebra, row) -> Automorphism:
+    """The automorphism whose payload is row (reduced mod p), laid out as
+    in a group's payload array."""
+    row = np.asarray(row, dtype=np.int64) % a.p
+    v = row.tolist()
+    if a.kind == DIHEDRAL:
+        return Automorphism(a, (bool(v[0]), v[1]))
+    return Automorphism(a, tuple(map(tuple, v)) if row.ndim == 2 else tuple(v))
 
 
-def _rsz_automorphism(a: Algebra, m: Mat) -> Automorphism:
-    return Automorphism(a, tuple(map(tuple, m.to_lists())))
+@dataclass(frozen=True, eq=False)
+class AutomorphismGroup(Sequence):
+    """The automorphisms of an algebra in enumeration order, held as one
+    read-only int64 payload array: (G, g, g) for rsz, (G, 2) for free and
+    dihedral, (G, n_gens, d) generator images for table algebras.  An item
+    is built when it is accessed; a slice is a group over a view."""
+
+    algebra: Algebra
+    payloads: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return AutomorphismGroup(self.algebra, self.payloads[i])
+        return _from_payload(self.algebra, self.payloads[operator.index(i)])
 
 
-def _free_automorphism(a: Algebra, coeff: int, shift: int) -> Automorphism:
-    return Automorphism(a, (coeff % a.p, shift % a.p))
+def _induced(a: Algebra, gens: np.ndarray) -> np.ndarray:
+    """The basis maps induced by (n_gens, ..., d) generator images, as
+    (..., d, d) arrays with column j the image of basis word j."""
+    values = a._word_values(a.basis_words, gens)
+    return np.stack([values[w] for w in a.basis_words], axis=-1)
 
 
-def _dihedral_automorphism(a: Algebra, swap: bool, scale: int) -> Automorphism:
-    return Automorphism(a, (swap, scale % a.p))
-
-
-def _table_automorphisms(a: Algebra, gens: np.ndarray) -> list[Automorphism]:
-    """The automorphisms among a (n_gens, B, d) batch of generator images:
-    those on which every relation vanishes and whose induced basis map,
-    column j the image of basis word j, is invertible."""
+def _table_automorphisms(a: Algebra, gens: np.ndarray) -> np.ndarray:
+    """The automorphisms among a (n_gens, B, d) batch of generator images,
+    as a (K, n_gens, d) payload array: those on which every relation
+    vanishes and whose induced basis map is invertible."""
     for rel in a.relations:
         gens = gens[:, ~a.element_of_poly(rel, gens).any(axis=-1)]
-    values = a._word_values(a.basis_words, gens)
-    induced = np.stack([values[w] for w in a.basis_words], axis=-1)
-    keep = _batch_invertible(induced, a.p)
-    return [
-        Automorphism(a, tuple(map(tuple, images)), induced=Mat(a.p, m))
-        for images, m in zip(gens[:, keep].swapaxes(0, 1).tolist(), induced[keep])
-    ]
+    return gens[:, _batch_invertible(_induced(a, gens), a.p)].swapaxes(0, 1)
 
 
-def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray]) -> Automorphism | None:
-    """The table automorphism with the given generator images, or None."""
-    found = _table_automorphisms(
-        a, np.reshape(gen_vecs, (len(gen_vecs), 1, len(a.basis_labels))) % a.p
-    )
-    return found[0] if found else None
+def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray], what: str) -> Automorphism:
+    """The table automorphism with the given generator images; raises
+    TableInconsistent, naming `what`, if they define none."""
+    found = _table_automorphisms(a, np.asarray(gen_vecs, dtype=np.int64)[:, None] % a.p)
+    if not len(found):
+        raise TableInconsistent(f"{what} failed validation")
+    return _from_payload(a, found[0])
 
 
 def identity_automorphism(a: Algebra) -> Automorphism:
     if a.kind == RSZ:
-        return _rsz_automorphism(a, Mat.identity(a.num_generators, a.p))
+        return _from_payload(a, np.eye(a.num_generators))
     if a.kind == FREE_UNIVARIATE:
-        return _free_automorphism(a, 1, 0)
+        return _from_payload(a, (1, 0))
     if a.kind == DIHEDRAL:
-        return _dihedral_automorphism(a, False, 1)
+        return _from_payload(a, (0, 1))
     if a.kind == TABLE:
-        eye = np.eye(len(a.basis_labels), dtype=np.int64)
-        f = _table_automorphism(a, eye[_generator_words(a)])
-        assert f is not None
-        return f
+        return _from_payload(a, np.eye(len(a.basis_labels))[_generator_words(a)])
     raise UnsupportedAlgebraKind(a.kind)
 
 
 def _check_budget(a: Algebra, budget: int):
     """Refuse a group whose candidate space exceeds the budget: p^(g^2)
-    matrices for rsz, p(p-1) affine maps for free, 2(p-1) scalings and swaps
-    for dihedral, and p^(radical dim * generators) images for table algebras.
-    The generator-free rsz algebra has no candidate space."""
+    matrices (none for g = 0), p(p-1) affine maps, 2(p-1) dihedral scalings
+    and swaps, or p^(radical dim * g) table generator images."""
     p, g = a.p, a.num_generators
-    name = f"{a.kind} automorphism"
     if a.kind == RSZ:
-        space, name = (p ** (g * g) if g else 0), f"GL({g},{p})"
-    elif a.kind == FREE_UNIVARIATE:
-        space = p * (p - 1)
-    elif a.kind == DIHEDRAL:
-        space = 2 * (p - 1)
+        space = p ** (g * g) if g else 0
     elif a.kind == TABLE:
         space = p ** (len(a.radical_basis) * g)
     else:
-        raise UnsupportedAlgebraKind(a.kind)
+        space = p * (p - 1) if a.kind == FREE_UNIVARIATE else 2 * (p - 1)
     if space > budget:
+        name = f"GL({g},{p})" if a.kind == RSZ else f"{a.kind} automorphism"
         raise BudgetExceeded(f"{name} candidate space {space} exceeds budget {budget}")
 
 
-def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[Automorphism, ...]:
+def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> AutomorphismGroup:
     """The automorphisms used by the decision procedures, in deterministic order.
 
     rsz: all of GL(g, p) (every invertible generator-mixing matrix).
@@ -668,31 +674,34 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> tuple[A
 
 
 @lru_cache(maxsize=128)
-def _automorphism_group(a: Algebra) -> tuple[Automorphism, ...]:
+def _automorphism_group(a: Algebra) -> AutomorphismGroup:
     p = a.p
     if a.kind == RSZ:
-        return tuple(Automorphism(a, tuple(map(tuple, m))) for m in _rsz_matrices(a).tolist())
-    if a.kind == FREE_UNIVARIATE:
-        return tuple(
-            _free_automorphism(a, c, s) for c in range(1, p) for s in range(p)
-        )
-    if a.kind == DIHEDRAL:
-        out = [_dihedral_automorphism(a, False, s) for s in range(1, p)]
-        e1, e2 = a.dihedral_eps
-        if e1 == e2:
-            out.extend(_dihedral_automorphism(a, True, s) for s in range(1, p))
-        return tuple(out)
-    if a.kind == TABLE:
+        # GL(g, p) in lexicographic order of the entries
+        g = a.num_generators
+        batches = (digits.reshape(len(digits), g, g) for digits in _lex_batches(g * g, p))
+        payloads = np.concatenate([m[_batch_invertible(m, p)] for m in batches])
+    elif a.kind == FREE_UNIVARIATE:
+        coeff, shift = np.divmod(np.arange(p * (p - 1), dtype=np.int64), p)
+        payloads = np.stack([coeff + 1, shift], axis=1)
+    elif a.kind == DIHEDRAL:
+        n_swaps = 2 if a.dihedral_eps[0] == a.dihedral_eps[1] else 1
+        swap, scale = np.divmod(np.arange(n_swaps * (p - 1), dtype=np.int64), p - 1)
+        payloads = np.stack([swap, scale + 1], axis=1)
+    elif a.kind == TABLE:
         n_rad, n_gens, d = len(a.radical_basis), a.num_generators, len(a.basis_labels)
-        out = []
+        found = []
         for digits in _lex_batches(n_gens * n_rad, p):
             # digit g * n_rad + r: coefficient of radical element r in generator g's image
             images = digits.reshape(len(digits), n_gens, n_rad).swapaxes(0, 1)
             gens = np.zeros((n_gens, len(digits), d), dtype=np.int64)
             gens[..., list(a.radical_basis)] = images
-            out.extend(_table_automorphisms(a, gens))
-        return tuple(out)
-    raise UnsupportedAlgebraKind(a.kind)
+            found.append(_table_automorphisms(a, gens))
+        payloads = np.concatenate(found)
+    else:
+        raise UnsupportedAlgebraKind(a.kind)
+    payloads.setflags(write=False)
+    return AutomorphismGroup(a, payloads)
 
 
 # misses of the per-algebra cache are builds of a group
@@ -712,26 +721,6 @@ def _lex_batches(k: int, p: int) -> Iterator[np.ndarray]:
         yield (idx[:, None] // powers) % p  # big-endian digits = lex order
 
 
-@lru_cache(maxsize=128)
-def _rsz_matrices(a: Algebra) -> np.ndarray:
-    """GL(g, p) in lexicographic order of the entries, as one read-only
-    (G, g, g) array."""
-    g, p = a.num_generators, a.p
-    batches = (digits.reshape(len(digits), g, g) for digits in _lex_batches(g * g, p))
-    mats = np.concatenate([m[_batch_invertible(m, p)] for m in batches])
-    mats.setflags(write=False)
-    return mats
-
-
-def automorphism_matrices(a: Algebra, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """The generator-mixing matrices of enumerate_automorphisms(a, budget),
-    in the same order, as one read-only (G, g, g) array (rsz only)."""
-    if a.kind != RSZ:
-        raise UnsupportedAlgebraKind("matrix form only exists for rsz automorphisms")
-    _check_budget(a, budget)
-    return _rsz_matrices(a)
-
-
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     """The automorphism whose twist equals twisting by f and then by g.
 
@@ -742,48 +731,44 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
         raise AlgebraMismatch("automorphisms over different algebras")
     a = f.algebra
     if a.kind == RSZ:
-        return _rsz_automorphism(a, g.matrix @ f.matrix)
+        return _from_payload(a, _mul_arrays(g.coefficients, f.coefficients, a.p))
     if a.kind == FREE_UNIVARIATE:
         (af, bf), (ag, bg) = f.payload, g.payload
-        return _free_automorphism(a, af * ag, ag * bf + bg)
+        return _from_payload(a, (af * ag, ag * bf + bg))
     if a.kind == DIHEDRAL:
         (sf, af), (sg, ag) = f.payload, g.payload
         if not sg:
-            return _dihedral_automorphism(a, sf, af * ag)
+            return _from_payload(a, (sf, af * ag))
         if af % a.p == 1:
-            return _dihedral_automorphism(a, not sf, ag)
+            return _from_payload(a, (not sf, ag))
         raise UnsupportedAlgebraKind(
             "composite leaves the implemented dihedral automorphism families"
         )
     if a.kind == TABLE:
         # g's image of a generator combines basis words; f sends word j to column j
-        h = _table_automorphism(a, _mul_arrays(np.array(g.payload), f.induced.a.T, a.p))
-        if h is None:
-            raise TableInconsistent("composite of table automorphisms failed validation")
-        return h
+        gens = _mul_arrays(g.coefficients, f.induced.a.T, a.p)
+        return _table_automorphism(a, gens, "composite of table automorphisms")
     raise UnsupportedAlgebraKind(a.kind)
 
 
 def inverse(f: Automorphism) -> Automorphism:
     a = f.algebra
     if a.kind == RSZ:
-        return _rsz_automorphism(a, f.matrix.inverse())
+        return _from_payload(a, Mat(a.p, f.coefficients).inverse().a)
     if a.kind == FREE_UNIVARIATE:
         coeff, shift = f.payload
         ci = inv_mod(coeff, a.p)
-        return _free_automorphism(a, ci, -ci * shift)
+        return _from_payload(a, (ci, -ci * shift))
     if a.kind == DIHEDRAL:
         swap, scale = f.payload
         if not swap:
-            return _dihedral_automorphism(a, False, inv_mod(scale, a.p))
+            return _from_payload(a, (0, inv_mod(scale, a.p)))
         if scale % a.p == 1:
             return f
         raise UnsupportedAlgebraKind(
             "inverse leaves the implemented dihedral automorphism families"
         )
     if a.kind == TABLE:
-        h = _table_automorphism(a, f.induced.inverse().a[:, _generator_words(a)].T)
-        if h is None:
-            raise TableInconsistent("inverse of table automorphism failed validation")
-        return h
+        gens = f.induced.inverse().a[:, _generator_words(a)].T
+        return _table_automorphism(a, gens, "inverse of table automorphism")
     raise UnsupportedAlgebraKind(a.kind)

@@ -20,7 +20,7 @@ from .algebra import (
     RSZ,
     Algebra,
     Automorphism,
-    automorphism_matrices,
+    AutomorphismGroup,
     compose,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
@@ -257,33 +257,33 @@ def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:
 
 
 def _twisted_profiles(
-    profile: np.ndarray, points: np.ndarray, a: Algebra, budget: int
+    profile: np.ndarray, points: np.ndarray, autos: AutomorphismGroup
 ) -> Iterator[np.ndarray]:
-    """Rank profiles of twist(m, f) for every enumerated f, from m's profile,
-    as (K, p^g) chunks in enumeration order.
+    """Rank profiles of twist(m, f) for every f of an rsz group, from m's
+    profile, as (K, p^g) chunks in enumeration order.
 
     twist(m, f) lets generator i act by sum_j f_ij A_j, so at c it has the
     rank of sum_j (c^T F)_j A_j: m's profile read at c^T F.
     """
-    mats = automorphism_matrices(a, budget)
-    powers = a.p ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
+    mats, p = autos.payloads, autos.algebra.p
+    powers = p ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
     chunk = max(1, _PROFILE_CELLS // points.size)
     for start in range(0, len(mats), chunk):
-        images = _mul_arrays(points, mats[start : start + chunk], a.p)
+        images = _mul_arrays(points, mats[start : start + chunk], p)
         yield profile[images @ powers]
 
 
-def _profile_survivors(m1: Module, m2: Module, n_autos: int, budget: int) -> Iterator[int]:
+def _profile_survivors(m1: Module, m2: Module, autos: AutomorphismGroup) -> Iterator[int]:
     """Indices, in enumeration order, of the automorphisms f for which the
     rank profile of twist(m2, f) equals that of m1, or every index where rank
     profiles are not compared.  Chunks are scanned as they are consumed."""
     points = _profile_points(m1.algebra)
     if points is None:
-        yield from range(n_autos)
+        yield from range(len(autos))
         return
     r1 = _rank_profile(m1, points)
     start = 0
-    for tw in _twisted_profiles(_rank_profile(m2, points), points, m1.algebra, budget):
+    for tw in _twisted_profiles(_rank_profile(m2, points), points, autos):
         yield from (start + np.nonzero((tw == r1).all(axis=1))[0]).tolist()
         start += len(tw)
 
@@ -315,7 +315,7 @@ def t_isomorphic(
         return _iso_from_hom(m1, twisted, hom, budget, seed)
 
     res = _scan(
-        ((idx, autos[idx]) for idx in _profile_survivors(m1, m2, len(autos), budget)),
+        ((idx, autos[idx]) for idx in _profile_survivors(m1, m2, autos)),
         decide,
         Verdict.YES,
         EquivVerdict(Verdict.YES),
@@ -410,7 +410,7 @@ def t_orbit(
         twisted_profiles = itertools.repeat(none)
         cand_profiles = [none] * len(mods)
     else:
-        chunks = _twisted_profiles(_rank_profile(m, points), points, m.algebra, budget)
+        chunks = _twisted_profiles(_rank_profile(m, points), points, autos)
         twisted_profiles = itertools.chain.from_iterable(chunks)
         cand_profiles = [_rank_profile(cand, points) for cand in mods]
 

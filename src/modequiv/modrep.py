@@ -30,6 +30,8 @@ from .algebra import (
     Automorphism,
     Subalgebra,
     evaluate_poly,
+    image_words,
+    word_values,
 )
 from .errors import (
     AlgebraMismatch,
@@ -675,21 +677,22 @@ def restrict(m: Module, s: Subalgebra) -> Module:
 
 
 def twist(m: Module, f: Automorphism) -> Module:
-    """The module with generator g acting by f's image of g evaluated on the
-    original action; the result is re-validated against the relations.
+    """The module with generator i acting by f's image of generator i
+    evaluated on the original action: one tensor_combine of f's
+    coefficients with m's action on the algebra's image_words.
 
     For square-zero algebras the twisted actions are linear combinations of
     the originals, so every product of two of them vanishes automatically and
-    the relation check is skipped.
+    the relation check is skipped; every other result is re-validated
+    against the relations.
     """
     if f.algebra != m.algebra:
         raise AlgebraMismatch("automorphism of a different algebra")
-    if m.algebra.kind == RSZ and m.action:
-        stack = np.stack([a.a for a in m.action])
-        g = len(m.action)
-        rows = np.array([row for row in f.payload], dtype=np.int64)
-        mixed = tensor_combine(rows, stack, m.algebra.p)
-        action = tuple(Mat(m.algebra.p, mixed[i]) for i in range(g))
-        return _module_trusted(m.algebra, action, m.dim, name=m.name)
-    action = tuple(evaluate_poly(img, m.action) for img in f.images)
-    return Module(m.algebra, action, name=m.name)
+    a, n, words = m.algebra, m.dim or 0, image_words(m.algebra)
+    eye = np.eye(n, dtype=np.int64)
+    values = word_values(words, [x.a for x in m.action], eye, lambda x, y: _mul_arrays(x, y, a.p))
+    stack = np.array([values[w] for w in words], dtype=np.int64).reshape(len(words), n, n)
+    action = tuple(Mat(a.p, x) for x in tensor_combine(f.coefficients, stack, a.p))
+    if a.kind == RSZ:
+        return _module_trusted(a, action, m.dim, name=m.name)
+    return Module(a, action, name=m.name)

@@ -5,7 +5,7 @@ import pytest
 
 from modequiv.algebra import (
     DEFAULT_BUDGET,
-    automorphism_matrices,
+    Automorphism,
     NcPoly,
     Subalgebra,
     algebra_validate,
@@ -312,18 +312,72 @@ def test_group_cached_once_per_algebra_whatever_the_budget():
     assert enumerate_automorphisms(a, budget=3**4) is group
     assert enumerate_automorphisms(make_rsz_algebra(2, 3), 2**30) is group
     assert enumerate_automorphisms.cache_info().misses == misses
-    mats = automorphism_matrices(a)
-    assert automorphism_matrices(a, DEFAULT_BUDGET) is mats
-    assert [f.payload for f in group] == [tuple(map(tuple, m)) for m in mats.tolist()]
+    # one read-only (G, g, g) array holds the group, in enumeration order
+    assert group.payloads.shape == (48, 2, 2) and group.payloads.dtype == np.int64
+    assert not group.payloads.flags.writeable
+    with pytest.raises(ValueError):
+        group.payloads[0, 0, 0] = 2
+    assert [f.payload for f in group] == [tuple(map(tuple, m)) for m in group.payloads.tolist()]
+    # a fresh algebra builds once more
+    enumerate_automorphisms(make_rsz_algebra(2, 7))
+    assert enumerate_automorphisms.cache_info().misses == misses + 1
+
+
+def _listed_group(a):
+    """The group as the tuple of Automorphism objects that enumeration
+    returned before groups were arrays, built from each kind's definition."""
+    p = a.p
+    if a.kind == "rsz":
+        g = a.num_generators
+        mats = (np.reshape(v, (g, g)) for v in itertools.product(range(p), repeat=g * g))
+        payloads = [tuple(map(tuple, m.tolist())) for m in mats if Mat(p, m).rank() == g]
+    elif a.kind == "free_univariate":
+        payloads = [(c, s) for c in range(1, p) for s in range(p)]
+    elif a.kind == "dihedral":
+        swaps = (False, True) if a.dihedral_eps[0] == a.dihedral_eps[1] else (False,)
+        payloads = [(swap, s) for swap in swaps for s in range(1, p)]
+    else:
+        payloads = [images for images, _ in _table_group_one_candidate_at_a_time(a)]
+    return tuple(Automorphism(a, payload) for payload in payloads)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_rsz_algebra(3, 2),
+        lambda: make_free_univariate(5),
+        lambda: make_dihedral_algebra(1, 1, 1, 5),
+        lambda: make_dihedral_algebra(1, 0, 1, 3),
+        lambda: make_semidihedral_algebra(2),
+    ],
+)
+def test_group_indexing_and_slicing_match_the_listed_group(make):
+    a = make()
+    group = enumerate_automorphisms(a)
+    listed = _listed_group(a)
+    assert len(group) == len(listed) == len(group.payloads)
+    assert [repr(f.payload) for f in group] == [repr(f.payload) for f in listed]
+    for i in (0, 1, len(group) - 1, -1, -len(group), np.int64(1), np.intp(-2)):
+        assert group[i] == listed[i]
+        assert repr(group[i].payload) == repr(listed[i].payload)
+    for sl in (slice(None, None, 3), slice(1, -1), slice(None, None, -5), slice(len(group), None)):
+        part = group[sl]
+        assert tuple(part) == listed[sl] and len(part) == len(listed[sl])
+        assert not part.payloads.flags.writeable
+    assert group.index(listed[1]) == 1 and listed[-1] in group
+    with pytest.raises(IndexError):
+        group[len(group)]
+    with pytest.raises(TypeError):
+        group[1.0]
 
 
 def test_budget_checked_on_every_call_at_the_candidate_space():
     rsz = make_rsz_algebra(2, 3)
-    enumerate_automorphisms(rsz)
+    group = enumerate_automorphisms(rsz)
     with pytest.raises(BudgetExceeded, match=r"^GL\(2,3\) candidate space 81 exceeds budget 80$"):
         enumerate_automorphisms(rsz, budget=80)
-    with pytest.raises(BudgetExceeded, match="candidate space 81 exceeds budget 80"):
-        automorphism_matrices(rsz, 80)
+    # a refused call leaves the cached array as it was
+    assert enumerate_automorphisms(rsz, budget=81).payloads is group.payloads
     sd = make_semidihedral_algebra(2)
     assert len(enumerate_automorphisms(sd, budget=2**12)) == 64
     with pytest.raises(
@@ -449,4 +503,5 @@ def test_table_automorphism_rejects_relation_breakers():
     xv[2] = 1
     yv = np.zeros(7, dtype=np.int64)
     yv[2] = 1
-    assert _table_automorphism(a, [xv, yv]) is None
+    with pytest.raises(TableInconsistent, match="^probe failed validation$"):
+        _table_automorphism(a, [xv, yv], "probe")

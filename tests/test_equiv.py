@@ -5,7 +5,6 @@ import pytest
 
 from modequiv import equiv
 from modequiv.algebra import (
-    DEFAULT_BUDGET,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     make_rsz_algebra,
@@ -310,13 +309,13 @@ def test_c2_family_twists_to_basepoint():
 def test_c2_diagonal_witness_at_p5():
     # GL(3,5) enumeration exceeds the default budget, so exhibit the diagonal
     # twist (X, Y, Z) -> (X, aY, bZ) directly and verify it as a witness
-    from modequiv.algebra import _rsz_automorphism
+    from modequiv.algebra import Automorphism
     from modequiv.errors import BudgetExceeded
 
     alg = make_rsz_algebra(3, 5)
     base = c2(1, 1, 5)
     for a, b in itertools.product(range(1, 5), repeat=2):
-        f = _rsz_automorphism(alg, Mat(5, [[1, 0, 0], [0, a, 0], [0, 0, b]]))
+        f = Automorphism(alg, ((1, 0, 0), (0, a, 0), (0, 0, b)))
         target = c2(a, b, 5)
         res = is_isomorphic(target, twist(base, f))
         assert res.verdict.is_yes
@@ -466,7 +465,7 @@ def test_rank_profile_invariant_under_base_change_and_read_through_twists(p, g):
     profile = _rank_profile(m, points)
     conj = conjugate(m, rand_invertible(m.dim, p, rng))
     assert np.array_equal(_rank_profile(conj, points), profile)
-    twisted = np.concatenate(list(_twisted_profiles(profile, points, alg, DEFAULT_BUDGET)))
+    twisted = np.concatenate(list(_twisted_profiles(profile, points, autos)))
     assert twisted.shape == (len(autos), p**g)
     for k in rng.choice(len(autos), size=min(len(autos), 40), replace=False):
         assert np.array_equal(_rank_profile(twist(m, autos[k]), points), twisted[k])

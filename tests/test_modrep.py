@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modequiv.algebra import (
+    Automorphism,
+    NcPoly,
     Subalgebra,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
+    evaluate_poly,
+    make_dihedral_algebra,
     make_free_univariate,
     make_rsz_algebra,
     make_semidihedral_algebra,
@@ -650,11 +654,80 @@ def test_twist_preserves_end_dim():
         assert hom_space(twist(m1, f), twist(m1, f)).dim == d1
 
 
+def _reference_images(f):
+    """Per-generator image polynomials of an automorphism, derived from its
+    payload: the images twist evaluated before it combined payloads."""
+    a, p = f.algebra, f.algebra.p
+    if a.kind == "rsz":
+        return tuple(NcPoly(p, [(c, (j,)) for j, c in enumerate(row)]) for row in f.payload)
+    if a.kind == "free_univariate":
+        coeff, shift = f.payload
+        return (NcPoly(p, [(coeff, (0,)), (shift, ())]),)
+    if a.kind == "dihedral":
+        swap, scale = f.payload
+        if swap:
+            return (NcPoly.word(p, (1,)), NcPoly.word(p, (0,), scale))
+        return (NcPoly.word(p, (0,)), NcPoly.word(p, (1,), scale))
+    return tuple(
+        NcPoly(p, [(c, a.basis_words[i]) for i, c in enumerate(v) if c]) for v in f.payload
+    )
+
+
+def _left_regular(alg):
+    """A table algebra acting on itself by left multiplication, so every
+    basis word acts by a distinct matrix."""
+    t = alg.table
+    return module_validate(alg, [Mat(alg.p, t[j].T) for j in _generator_indices(alg)])
+
+
+def _generator_indices(alg):
+    return [alg.basis_words.index((i,)) for i in range(alg.num_generators)]
+
+
+def _twist_cases():
+    sd = make_semidihedral_algebra(2)
+    yield sd, [_left_regular(sd), *fixture("semidih2", 2)[1]]
+    yield make_dihedral_algebra(1, 1, 1, 3), [
+        band_module(1, 3),
+        direct_sum(band_module(2, 3), band_module(1, 3)),
+    ]
+    for p in (3, 5):
+        rng = np.random.default_rng(p)
+        yield make_free_univariate(p), [
+            jordan(1, 3, p),
+            module_validate(make_free_univariate(p), [Mat(p, rng.integers(0, p, (4, 4)))]),
+        ]
+    yield make_rsz_algebra(2, 3), [k_module(1, 2, 3), k_module(INFINITY, 1, 3)]
+    yield make_rsz_algebra(3, 2), list(fixture("wild6", 2)[1])
+
+
 def test_twist_table_algebra_and_validation():
-    alg, (m1, m2) = fixture("semidih2", 2)
-    for f in enumerate_automorphisms(alg):
-        t = twist(m1, f)
-        assert t.dim == 2
+    """Twisting combines the payload with the action on each image word; it
+    must agree with evaluating every image polynomial, for every kind."""
+    for alg, mods in _twist_cases():
+        for f in enumerate_automorphisms(alg):
+            images = _reference_images(f)
+            for m in mods:
+                t = twist(m, f)
+                assert t.dim == m.dim and t.name == m.name
+                assert t.action == tuple(evaluate_poly(img, m.action) for img in images)
+    # x -> x + y breaks x^2 = 0 on the regular module: a hand-built payload
+    # that is not an automorphism is refused by the relation check
+    sd = make_semidihedral_algebra(2)
+    bad = Automorphism(sd, ((0, 1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)))
+    with pytest.raises(RelationViolated):
+        twist(_left_regular(sd), bad)
+
+
+def test_twist_of_generator_free_module_keeps_its_dimension():
+    from modequiv.equiv import rt_isomorphic
+
+    zero = enumerate_proper_subalgebras(make_rsz_algebra(2, 3), "all")[0]
+    m = restrict(k_module(0, 1, 3), zero)
+    f = enumerate_automorphisms(zero.as_algebra)[0]
+    assert twist(m, f).dim == m.dim == 2
+    rsz1 = make_rsz_algebra(1, 3)
+    assert rt_isomorphic(trivial_module(rsz1, 2), trivial_module(rsz1, 2)).verdict.is_yes
 
 
 def test_twist_preserves_indecomposability_verdicts():
