@@ -25,7 +25,7 @@ from .errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, inv_mod
+from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, inv_mod, tensor_combine
 
 RSZ = "rsz"
 FREE_UNIVARIATE = "free_univariate"
@@ -133,6 +133,23 @@ def word_values(words, gens, unit, mul) -> dict:
     return values
 
 
+def evaluate_arrays(polys: Sequence[NcPoly], actions: np.ndarray, p: int) -> np.ndarray:
+    """The (len(polys), n, n) values of the polys with generator i acting by
+    actions[i], a (g, n, n) residue array; the empty word is the identity.
+    Every word prefix is multiplied out once, and the coefficients are
+    combined with the word values in one tensor_combine."""
+    n = actions.shape[-1]
+    words = list(dict.fromkeys(w for poly in polys for _, w in poly.terms))
+    eye = np.eye(n, dtype=np.int64)
+    values = word_values(words, actions, eye, lambda x, y: _mul_arrays(x, y, p))
+    coeffs = np.zeros((len(polys), len(words)), dtype=np.int64)
+    for r, poly in enumerate(polys):
+        for c, w in poly.terms:
+            coeffs[r, words.index(w)] = c % p
+    stack = np.array([values[w] for w in words], dtype=np.int64).reshape(len(words), n, n)
+    return tensor_combine(coeffs, stack, p)
+
+
 def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
     """Evaluate at one square matrix per generator; the empty word is the identity."""
     if poly.max_generator >= len(assignment):
@@ -148,11 +165,8 @@ def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
                 raise ModulusMismatch("assignment matrices over different moduli")
     else:
         n, p = 0, poly.p
-    out = Mat.zeros(n, n, p)
-    values = word_values([w for _, w in poly.terms], assignment, Mat.identity(n, p), Mat.__matmul__)
-    for c, w in poly.terms:
-        out = out + c * values[w]
-    return out
+    actions = np.array([m.a for m in assignment], dtype=np.int64).reshape(len(assignment), n, n)
+    return Mat(p, evaluate_arrays((poly,), actions, p)[0])
 
 
 class Algebra:

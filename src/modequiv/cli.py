@@ -155,7 +155,7 @@ def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
         payload = {
             "verdict": "yes",
             "summand_dims": [part.dim for part in parts],
-            "summands": [[a.to_lists() for a in part.action] for part in parts],
+            "summands": [part.actions.tolist() for part in parts],
         }
         _emit(payload, structured)
         return EXIT_YES

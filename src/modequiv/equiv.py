@@ -32,6 +32,7 @@ from .modrep import (
     Module,
     IsoResult,
     Verdict,
+    _intertwines,
     _iso_from_hom,
     hom_space,
     is_indecomposable,
@@ -252,8 +253,7 @@ def _profile_points(a: Algebra) -> np.ndarray | None:
 def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:
     """rank(sum_i c_i A_i) at every point c, A_i the action of generator i."""
     p = m.algebra.p
-    stack = np.stack([x.a for x in m.action])
-    return _batch_rank(tensor_combine(points, stack, p), p)
+    return _batch_rank(tensor_combine(points, m.actions, p), p)
 
 
 def _twisted_profiles(
@@ -333,8 +333,7 @@ def verify_twisted_witness(m1: Module, m2: Module, f: Automorphism, phi: Mat) ->
     m1 -> twist(m2, f)."""
     if not phi.is_invertible():
         return False
-    twisted = twist(m2, f)
-    return all(b @ phi == phi @ a for a, b in zip(m1.action, twisted.action))
+    return _intertwines(m1, twist(m2, f), phi)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -428,9 +428,3 @@ def rand_invertible(n: int, p: int, rng) -> Mat:
         m = rand_mat(n, n, p, rng)
         if m.is_invertible():
             return m
-
-
-def stack_rows(mats: Iterable[Mat]) -> Mat:
-    mats = list(mats)
-    p = mats[0].p
-    return Mat(p, np.concatenate([m.a for m in mats], axis=0))

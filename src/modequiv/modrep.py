@@ -1,7 +1,10 @@
-"""Modules as validated action-matrix tuples and the core decision procedures.
+"""Modules as validated action arrays and the core decision procedures.
 
-A module over a presented algebra is one n x n action matrix per generator,
-subject to the defining relations.  Hom spaces are intertwiner kernels;
+A module over a presented algebra is one (g, n, n) array of residues, an
+n x n action matrix per generator, subject to the defining relations; every
+layer passes that array along, and Mat appears only where a matrix leaves
+the package (Module.action, witnesses, idempotents).  Hom spaces are
+intertwiner kernels, held as one (k, n2, n1) basis array;
 isomorphism testing searches the Hom space exhaustively within a budget and
 falls back to seeded random sampling that can only answer Yes or Undecided.
 A No is sound by exhaustion or by a Hom-dimension obstruction, checked
@@ -13,6 +16,7 @@ basis, through End's structure constants.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from .algebra import (
     Algebra,
     Automorphism,
     Subalgebra,
-    evaluate_poly,
+    evaluate_arrays,
     image_words,
     word_values,
 )
@@ -46,9 +50,9 @@ from .linalg import (
     _batch_invertible,
     _mul_arrays,
     _nullspace,
+    _rank,
     _rref,
     _solve,
-    stack_rows,
     tensor_combine,
 )
 
@@ -79,9 +83,12 @@ class Verdict(Enum):
 
 
 class Module:
-    """An algebra together with one action matrix per generator."""
+    """An algebra together with its action: one read-only int64 array of
+    residues of shape (g, n, n), generator i acting by actions[i].  The
+    dimension n is read from the shape, so a module without generators keeps
+    it too.  `action` gives the matrices as a tuple of Mat, built on access."""
 
-    __slots__ = ("algebra", "dim", "action", "name")
+    __slots__ = ("algebra", "actions", "name")
 
     def __init__(self, algebra: Algebra, action: Sequence[Mat], name: str = ""):
         action = tuple(action)
@@ -90,50 +97,60 @@ class Module:
                 f"{algebra.num_generators} generators need {algebra.num_generators} "
                 f"action matrices, got {len(action)}"
             )
-        if action:
-            n = action[0].rows
-            for m in action:
-                if m.rows != n or m.cols != n:
-                    raise DimensionMismatch("action matrices must be square of equal size")
-                if m.p != algebra.p:
-                    raise ModulusMismatch("action matrices over a different modulus")
-        else:
-            n = 0
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dim", n if action else None)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "name", name)
-        _check_relations(algebra, action)
+        n = action[0].rows if action else 0
+        for m in action:
+            if m.rows != n or m.cols != n:
+                raise DimensionMismatch("action matrices must be square of equal size")
+            if m.p != algebra.p:
+                raise ModulusMismatch("action matrices over a different modulus")
+        actions = np.array([m.a for m in action], dtype=np.int64).reshape(len(action), n, n)
+        _check_relations(algebra, actions)
+        _init(self, algebra, actions, name)
 
     def __setattr__(self, key, value):
         raise AttributeError("Module is immutable")
 
+    @property
+    def dim(self) -> int:
+        return self.actions.shape[1]
+
+    @property
+    def action(self) -> tuple[Mat, ...]:
+        return tuple(Mat(self.algebra.p, a) for a in self.actions)
+
     def with_dim(self, n: int) -> "Module":
-        """Pin the dimension of a generator-free module."""
-        if self.action:
+        """Pin the dimension of a module over an algebra without generators."""
+        if self.algebra.num_generators:
             raise DimensionMismatch("dimension is determined by the action matrices")
-        return _module_trusted(self.algebra, (), n, self.name)
+        return _module_trusted(self.algebra, np.zeros((0, n, n), dtype=np.int64), self.name)
 
     def __eq__(self, other):
         return (
             isinstance(other, Module)
             and other.algebra == self.algebra
-            and other.dim == self.dim
-            and other.action == self.action
+            and other.actions.shape == self.actions.shape
+            and bool(np.array_equal(other.actions, self.actions))
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.dim, self.action))
+        return hash((self.algebra, self.actions.shape, self.actions.tobytes()))
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Module(dim={self.dim},{tag} over {self.algebra!r})"
 
 
-def _check_relations(a: Algebra, action: tuple[Mat, ...]):
-    for rel in a.relations:
-        value = evaluate_poly(rel, action)
-        if not value.is_zero():
+def _init(m: Module, a: Algebra, actions: np.ndarray, name: str):
+    actions.setflags(write=False)
+    object.__setattr__(m, "algebra", a)
+    object.__setattr__(m, "actions", actions)
+    object.__setattr__(m, "name", name)
+
+
+def _check_relations(a: Algebra, actions: np.ndarray):
+    """RelationViolated at the first relation of a that is not 0 on actions."""
+    for rel, value in zip(a.relations, evaluate_arrays(a.relations, actions, a.p)):
+        if value.any():
             raise RelationViolated(f"relation {rel!r} does not vanish", relation=rel)
 
 
@@ -142,12 +159,10 @@ def module_validate(a: Algebra, action: Sequence[Mat], name: str = "") -> Module
     return Module(a, action, name=name)
 
 
-def _module_trusted(a: Algebra, action: Sequence[Mat], dim: int, name: str = "") -> Module:
+def _module_trusted(a: Algebra, actions: np.ndarray, name: str = "") -> Module:
+    """The module with the (g, n, n) residue array actions, unchecked."""
     m = Module.__new__(Module)
-    object.__setattr__(m, "algebra", a)
-    object.__setattr__(m, "dim", dim)
-    object.__setattr__(m, "action", tuple(action))
-    object.__setattr__(m, "name", name)
+    _init(m, a, actions, name)
     return m
 
 
@@ -155,35 +170,40 @@ def trivial_module(a: Algebra, d: int, name: str = "") -> Module:
     """Every generator acts as zero on dimension d."""
     if d < 0:
         raise DimensionMismatch(f"dimension must be >= 0, got {d}")
-    action = tuple(Mat.zeros(d, d, a.p) for _ in a.generators)
-    m = Module(a, action, name=name)
-    return m if m.dim is not None else m.with_dim(d)
+    zeros = np.zeros((a.num_generators, d, d), dtype=np.int64)
+    _check_relations(a, zeros)
+    return _module_trusted(a, zeros, name)
 
 
 def direct_sum(m1: Module, m2: Module) -> Module:
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("direct sum of modules over different algebras")
-    action = tuple(
-        Mat.block_diag([a1, a2]) for a1, a2 in zip(m1.action, m2.action)
-    )
-    out = _module_trusted(m1.algebra, action, (m1.dim or 0) + (m2.dim or 0))
-    return out
+    (g, n1, _), n2 = m1.actions.shape, m2.dim
+    actions = np.zeros((g, n1 + n2, n1 + n2), dtype=np.int64)
+    actions[:, :n1, :n1] = m1.actions
+    actions[:, n1:, n1:] = m2.actions
+    return _module_trusted(m1.algebra, actions)
 
 
 def conjugate(m: Module, p_mat: Mat) -> Module:
     """Base change: each action matrix becomes P A P^{-1}."""
     pinv = p_mat.inverse()
-    action = tuple(p_mat @ a @ pinv for a in m.action)
-    return _module_trusted(m.algebra, action, m.dim)
+    p = m.algebra.p
+    if p_mat.p != p:
+        raise ModulusMismatch(f"mixed moduli {p_mat.p} and {p}")
+    if p_mat.rows != m.dim:
+        raise DimensionMismatch(f"cannot conjugate dimension {m.dim} by {p_mat.shape}")
+    return _module_trusted(m.algebra, _mul_arrays(_mul_arrays(p_mat.a, m.actions, p), pinv.a, p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomBasis:
-    """Basis of the intertwiner space {phi : B_g phi = phi A_g for all g}."""
+    """Basis of the intertwiner space {phi : B_g phi = phi A_g for all g},
+    as one read-only (k, n2, n1) residue array, echelon-normalized."""
 
     source: Module
     target: Module
-    basis: tuple[Mat, ...]
+    basis: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -198,18 +218,14 @@ def hom_space(m1: Module, m2: Module) -> HomBasis:
     broadcast."""
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("hom space of modules over different algebras")
-    n1, n2 = m1.dim, m2.dim
-    p = m1.algebra.p
-    if n1 == 0 or n2 == 0:
-        return HomBasis(m1, m2, ())
-    g = len(m1.action)
-    a_t = np.array([x.a.T for x in m1.action], dtype=np.int64).reshape(g, n1, n1)
-    b = np.array([x.a for x in m2.action], dtype=np.int64).reshape(g, n2, n2)
-    system = b[:, :, None, :, None] * np.eye(n1, dtype=np.int64)[:, None, :]
+    (g, n1, _), n2, p = m1.actions.shape, m2.dim, m1.algebra.p
+    a_t = m1.actions.transpose(0, 2, 1)
+    system = m2.actions[:, :, None, :, None] * np.eye(n1, dtype=np.int64)[:, None, :]
     system -= np.eye(n2, dtype=np.int64)[:, None, :, None] * a_t[:, None, :, None, :]
     system %= p
-    system = system.reshape(g * n2 * n1, n2 * n1)
-    basis = tuple(Mat(p, v.reshape(n2, n1)) for v in _nullspace(system, p))
+    basis = _nullspace(system.reshape(g * n2 * n1, n2 * n1), p)
+    basis = basis.reshape(len(basis), n2, n1)
+    basis.setflags(write=False)
     return HomBasis(m1, m2, basis)
 
 
@@ -272,13 +288,14 @@ def _spans_identity(flat: np.ndarray, n: int, p: int) -> bool:
 
 
 def _find_invertible(
-    basis: Sequence[Mat],
+    stack: np.ndarray,
     p: int,
     budget: int,
     seed: int,
     obstructed: Callable[[], bool] | None = None,
 ) -> tuple[str, Mat | None, int]:
-    """Search span(basis) for an invertible matrix, cheapest evidence first.
+    """Search the span of a (d, n, n) stack for an invertible matrix,
+    cheapest evidence first.
 
     Returns ("yes", witness, searched), ("no", None, searched) with the span
     fully enumerated, ("obstructed", None, 0) when the zero-argument
@@ -297,13 +314,9 @@ def _find_invertible(
     found early checks only a few; the witness is the first invertible
     candidate in that order, and searched the number of candidates checked.
     """
-    d = len(basis)
+    d, n, _ = stack.shape
     if d == 0:
         return "no", None, 1
-    n = basis[0].rows
-    if n != basis[0].cols:
-        return "no", None, 0
-    stack = np.stack([b.a for b in basis])
 
     # identity in the span is the common fast witness
     if _spans_identity(stack.reshape(d, n * n), n, p):
@@ -311,7 +324,7 @@ def _find_invertible(
 
     hit = np.nonzero(_batch_invertible(stack, p))[0]
     if hit.size:
-        return "yes", basis[int(hit[0])], 0
+        return "yes", Mat(p, stack[int(hit[0])]), 0
 
     searched = 0
     size = _FIRST_SLICE
@@ -441,12 +454,22 @@ def is_isomorphic(
     return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, seed, certify=True)
 
 
+def _intertwines(m1: Module, m2: Module, phi: Mat) -> bool:
+    """B_g phi == phi A_g for every generator g, in one broadcast."""
+    p = m1.algebra.p
+    if phi.p != p:
+        raise ModulusMismatch(f"mixed moduli {phi.p} and {p}")
+    if phi.shape != (m2.dim, m1.dim):
+        raise DimensionMismatch(f"a {phi.shape} map from dimension {m1.dim} to {m2.dim}")
+    left, right = _mul_arrays(m2.actions, phi.a, p), _mul_arrays(phi.a, m1.actions, p)
+    return bool(np.array_equal(left, right))
+
+
 def _verify_intertwiner(m1: Module, m2: Module, phi: Mat):
     if not phi.is_invertible():
         raise RelationViolated("witness is not invertible")
-    for a_g, b_g in zip(m1.action, m2.action):
-        if b_g @ phi != phi @ a_g:
-            raise RelationViolated("witness does not intertwine the actions")
+    if not _intertwines(m1, m2, phi):
+        raise RelationViolated("witness does not intertwine the actions")
 
 
 @dataclass(frozen=True)
@@ -456,40 +479,20 @@ class IndecResult:
     note: str = ""
 
 
-def _fitting_split(e: Mat, n: int) -> tuple[Mat, Mat] | None:
-    """Kernel/image bases of e^n when both are proper, else None."""
-    power = e.power(n)
-    ker = power.kernel_basis()
+def _fitting_idempotent(e: np.ndarray, p: int) -> Mat | None:
+    """The projection onto the image of e^n along its kernel (Fitting's
+    splitting map), e an n x n residue array, or None when that kernel is
+    0 or everything.  With U = [kernel basis | image basis] it is
+    U diag(0, I) U^-1: the image columns of U times the matching rows of U^-1."""
+    n = e.shape[0]
+    power = Mat(p, e).power(n).a
+    ker = _nullspace(power, p)
     k = len(ker)
-    if k == 0 or k == n:
+    if k in (0, n):
         return None
-    p = e.p
-    ker_mat = np.concatenate([v.a for v in ker], axis=1)
-    im_cols, _ = _rref_cols(power.a, p)
-    return Mat(p, ker_mat), Mat(p, im_cols)
-
-
-def _rref_cols(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Column-space basis as the columns of the returned array."""
-    red, pivots = _rref(arr.T % p, p)
-    return red[: len(pivots)].T.copy(), pivots
-
-
-def _projection_idempotent(ker: Mat, im: Mat) -> Mat:
-    """Projection onto the image along the kernel (Fitting splitting map)."""
-    p = ker.p
-    n = ker.rows
-    basis = np.concatenate([ker.a, im.a], axis=1)
-    u = Mat(p, basis)
-    uinv = u.inverse()
-    diag = np.zeros((n, n), dtype=np.int64)
-    for i in range(ker.cols, n):
-        diag[i, i] = 1
-    return u @ Mat(p, diag) @ uinv
-
-
-def _in_end(m: Module, e: Mat) -> bool:
-    return all(a @ e == e @ a for a in m.action)
+    red, pivots = _rref(power.T, p)
+    u = Mat(p, np.concatenate([ker.T, red[: len(pivots)].T], axis=1))
+    return Mat(p, _mul_arrays(u.a[:, k:], u.inverse().a[k:], p))
 
 
 def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
@@ -501,17 +504,16 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
     coordinates of the End basis through its structure constants.
     """
     n = m.dim
-    if n is None or n < 1:
+    if n < 1:
         raise DimensionMismatch("indecomposability needs dim >= 1")
     if n == 1:
         return IndecResult(Verdict.YES, note="dimension 1")
     p = m.algebra.p
     end = hom_space(m, m)
     for e in end.basis:
-        split = _fitting_split(e, n)
-        if split is not None:
-            idem = _projection_idempotent(*split)
-            if idem @ idem == idem and _in_end(m, idem) and not idem.is_zero():
+        idem = _fitting_idempotent(e, p)
+        if idem is not None and idem @ idem == idem and _intertwines(m, m, idem):
+            if not idem.is_zero():
                 return IndecResult(Verdict.NO, idempotent=idem, note="fitting split")
     d = end.dim
     if p**d > budget:
@@ -520,7 +522,7 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
         )
     if d == 0:
         return IndecResult(Verdict.YES, note="trivial endomorphism algebra")
-    idem = _first_idempotent(np.stack([b.a for b in end.basis]), p)
+    idem = _first_idempotent(end.basis, p)
     if idem is not None:
         return IndecResult(Verdict.NO, idempotent=Mat(p, idem), note="idempotent search")
     return IndecResult(Verdict.YES, note=f"no nontrivial idempotent among {p ** d}")
@@ -587,16 +589,15 @@ def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def _restrict_to_invariant(m: Module, cols: Mat) -> Module:
-    """Actions on an invariant column-span, in the given basis."""
+    """Actions on an invariant column-span, in the given basis: one solve of
+    cols x = [A_1 cols | ... | A_g cols]."""
     p = m.algebra.p
-    action = []
-    for a in m.action:
-        img = a @ cols
-        sol = _solve(cols.a, img.a, p)
-        if sol is None:
-            raise RelationViolated("subspace is not invariant")
-        action.append(Mat(p, sol))
-    return _module_trusted(m.algebra, action, cols.cols)
+    g, (n, k) = len(m.actions), cols.shape
+    images = _mul_arrays(m.actions, cols.a, p)
+    sol = _solve(cols.a, images.transpose(1, 0, 2).reshape(n, g * k), p)
+    if sol is None:
+        raise RelationViolated("subspace is not invariant")
+    return _module_trusted(m.algebra, sol.reshape(k, g, k).transpose(1, 0, 2).copy())
 
 
 def _decompose_with_basis(m: Module, budget: int) -> tuple[list[Module], Mat]:
@@ -607,20 +608,13 @@ def _decompose_with_basis(m: Module, budget: int) -> tuple[list[Module], Mat]:
         return [m], Mat.identity(m.dim, m.algebra.p)
     idem = res.idempotent
     p = m.algebra.p
-    ker = idem.kernel_basis()
-    im = (idem - Mat.identity(m.dim, p)).kernel_basis()
     parts: list[Module] = []
     columns: list[np.ndarray] = []
-    for vecs in (ker, im):
-        basis = Mat(p, np.concatenate([v.a for v in vecs], axis=1))
-        sub = _restrict_to_invariant(m, basis)
-        sub_parts, sub_basis = _decompose_with_basis(sub, budget)
+    for fixed in (idem, idem - Mat.identity(m.dim, p)):
+        basis = Mat(p, _nullspace(fixed.a, p).T)
+        sub_parts, sub_basis = _decompose_with_basis(_restrict_to_invariant(m, basis), budget)
         parts.extend(sub_parts)
-        lifted = basis @ sub_basis
-        offset = 0
-        for sp in sub_parts:
-            columns.append(lifted.a[:, offset : offset + sp.dim])
-            offset += sp.dim
+        columns.append((basis @ sub_basis).a)
     return parts, Mat(p, np.concatenate(columns, axis=1))
 
 
@@ -633,14 +627,13 @@ def decompose(m: Module, budget: int = DEFAULT_BUDGET) -> list[Module]:
     if m.dim == 0:
         return []
     parts, basis = _decompose_with_basis(m, budget)
-    total = direct_sum(parts[0], parts[1]) if len(parts) > 1 else parts[0]
-    for extra in parts[2:]:
-        total = direct_sum(total, extra)
-    if sum(part.dim for part in parts) != m.dim or not basis.is_invertible():
+    total = functools.reduce(direct_sum, parts)
+    if (
+        sum(part.dim for part in parts) != m.dim
+        or not basis.is_invertible()
+        or not _intertwines(total, m, basis)
+    ):
         raise RelationViolated("decomposition does not reassemble")
-    for a, b in zip(m.action, total.action):
-        if a @ basis != basis @ b:
-            raise RelationViolated("decomposition does not reassemble")
     for part in parts:
         if not is_indecomposable(part, budget).verdict.is_yes:
             raise RelationViolated("decomposition produced a decomposable part")
@@ -653,10 +646,8 @@ def socle_dim(m: Module) -> int:
         raise UnsupportedAlgebraKind(
             f"socle needs known radical generators, not available for {m.algebra.kind}"
         )
-    if not m.action:
-        return m.dim
-    stacked = stack_rows(m.action)
-    return m.dim - stacked.rank()
+    g, n, _ = m.actions.shape
+    return n - _rank(m.actions.reshape(g * n, n), m.algebra.p)
 
 
 def restrict(m: Module, s: Subalgebra) -> Module:
@@ -668,12 +659,9 @@ def restrict(m: Module, s: Subalgebra) -> Module:
     no action and keeps m's dimension."""
     if s.parent != m.algebra:
         raise AlgebraMismatch("subalgebra of a different algebra")
-    p = m.algebra.p
-    stack = np.stack([a.a for a in m.action])
-    mixed = tensor_combine(s.w_basis.a, stack, p)
-    action = tuple(Mat(p, x) for x in mixed)
+    mixed = tensor_combine(s.w_basis.a, m.actions, m.algebra.p)
     name = f"{m.name}|{s.label()}" if m.name else ""
-    return _module_trusted(s.as_algebra, action, m.dim, name=name)
+    return _module_trusted(s.as_algebra, mixed, name=name)
 
 
 def twist(m: Module, f: Automorphism) -> Module:
@@ -688,11 +676,11 @@ def twist(m: Module, f: Automorphism) -> Module:
     """
     if f.algebra != m.algebra:
         raise AlgebraMismatch("automorphism of a different algebra")
-    a, n, words = m.algebra, m.dim or 0, image_words(m.algebra)
+    a, n, words = m.algebra, m.dim, image_words(m.algebra)
     eye = np.eye(n, dtype=np.int64)
-    values = word_values(words, [x.a for x in m.action], eye, lambda x, y: _mul_arrays(x, y, a.p))
+    values = word_values(words, m.actions, eye, lambda x, y: _mul_arrays(x, y, a.p))
     stack = np.array([values[w] for w in words], dtype=np.int64).reshape(len(words), n, n)
-    action = tuple(Mat(a.p, x) for x in tensor_combine(f.coefficients, stack, a.p))
-    if a.kind == RSZ:
-        return _module_trusted(a, action, m.dim, name=m.name)
-    return Module(a, action, name=m.name)
+    actions = tensor_combine(f.coefficients, stack, a.p)
+    if a.kind != RSZ:
+        _check_relations(a, actions)
+    return _module_trusted(a, actions, name=m.name)

@@ -19,6 +19,7 @@ from .algebra import (
     TABLE,
     Algebra,
     NcPoly,
+    _make_rsz,
     algebra_validate,
     make_dihedral_algebra,
     make_free_univariate,
@@ -26,7 +27,7 @@ from .algebra import (
     make_semidihedral_algebra,
 )
 from .errors import ModEquivError, SchemaError
-from .linalg import Mat
+from .linalg import Mat, check_prime
 from .modrep import Module, module_validate
 
 
@@ -60,7 +61,9 @@ def algebra_from_dict(data: dict) -> Algebra:
         raise SchemaError(f"algebra needs 'field' and 'kind': {exc}") from exc
     try:
         if kind == RSZ:
-            return make_rsz_algebra(int(data["generators"]), p)
+            g = int(data["generators"])
+            # W = 0 restrictions live over the rsz algebra on no generators
+            return _make_rsz(0, check_prime(p)) if g == 0 else make_rsz_algebra(g, p)
         if kind == FREE_UNIVARIATE:
             return make_free_univariate(p)
         if kind == DIHEDRAL:
@@ -124,7 +127,7 @@ def module_to_dict(m: Module) -> dict:
     return {
         "algebra": algebra_to_dict(m.algebra),
         "dim": m.dim,
-        "action": [list(a.entries()) for a in m.action],
+        "action": m.actions.reshape(len(m.actions), m.dim * m.dim).tolist(),
     }
 
 
@@ -155,7 +158,7 @@ def module_from_dict(data: dict) -> Module:
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed action matrix: {exc}") from exc
     mod = module_validate(alg, action, name=str(data.get("name", "")))
-    return mod if mod.dim is not None else mod.with_dim(n)
+    return mod if action else mod.with_dim(n)
 
 
 def module_loads(text: str) -> Module:

@@ -151,7 +151,7 @@ def _claim_tame_pair(cfg: RunConfig, p: int) -> str:
             if dims != [1, 2]:
                 raise ClaimFailure(f"{m.name} at {s.label()}: summand dims {dims}")
             one = min(parts, key=lambda part: part.dim)
-            if any(not a.is_zero() for a in one.action):
+            if one.actions.any():
                 raise ClaimFailure(f"{m.name} at {s.label()}: 1-dim part not trivial")
     return f"iso=no, R-iso=yes over {riso.checked} subalgebras, all maximal restrictions split 1+2"
 
@@ -456,7 +456,7 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
                 twist_cache[i] = twist(m, f)
             lhs = twist(twist_cache[i], g)
             rhs = twist(m, h)
-            if lhs.action != rhs.action:
+            if lhs != rhs:
                 raise ClaimFailure(f"twist law fails for {f.describe()} then {g.describe()}")
         pair_counts.append(n_pairs)
         end_dim = hom_space(m, m).dim

@@ -1,4 +1,5 @@
-"""Byte-for-byte pin of `modequiv check --report structured` on the fixtures.
+"""Byte-for-byte pins of `modequiv check --report structured` on the fixtures
+and of `modequiv verify --fields 2 --report structured`.
 
 tests/golden/check_structured.json maps "kind fixture p" to the exit code
 and stdout of `main(["check", kind, "--fixture", fixture, "--field", p,
@@ -8,6 +9,11 @@ over 2 s when the file was written (all calls in one process, in the order
 below).  Only when the output is meant to change, regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The verify output is compared by tests/test_cli.py against the one
+session run of conftest.verify_run; regenerate its file with
+
+    PYTHONPATH=src python tests/test_golden.py verify
 """
 
 import contextlib
@@ -44,7 +50,7 @@ def _over_time(signum, frame):
     raise TimeoutError
 
 
-if __name__ == "__main__":
+def _write_check_golden():
     signal.signal(signal.SIGALRM, _over_time)
     cases = {}
     for kind in CHECK_KINDS:
@@ -63,3 +69,16 @@ if __name__ == "__main__":
                     cases[key] = res
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
+
+
+def _write_verify_golden():
+    from conftest import VERIFY_GOLDEN, run_verify
+
+    VERIFY_GOLDEN.write_text(run_verify().stdout)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["verify"]:
+        _write_verify_golden()
+    else:
+        _write_check_golden()

@@ -11,7 +11,6 @@ from modequiv.verify import (
     Report,
     RunConfig,
     run_claim,
-    run_verification,
 )
 
 
@@ -53,9 +52,9 @@ def test_semidihedral_skipped_at_p5_default_budget():
     assert rec.status == SKIPPED
 
 
-def test_structured_report_shape_and_exit_code():
-    cfg = RunConfig(fields=(2,), report="structured")
-    report = run_verification(cfg)
+def test_structured_report_shape_and_exit_code(verify_run):
+    # verify_run ran RunConfig(fields=(2,), report="structured") through the CLI
+    report = verify_run.report
     payload = json.loads(report.to_structured())
     assert [rec["claim"] for rec in payload["claims"]] == list(CLAIM_IDS)
     statuses = {rec["claim"]: rec["status"] for rec in payload["claims"]}
@@ -67,7 +66,7 @@ def test_structured_report_shape_and_exit_code():
         assert cid in text
 
 
-def test_report_exit_zero_without_failures():
-    records = run_verification(RunConfig(fields=(2,))).records
+def test_report_exit_zero_without_failures(verify_run):
+    records = verify_run.report.records
     passing = tuple(r for r in records if r.status == PASS)
     assert Report(passing).exit_code == 0
