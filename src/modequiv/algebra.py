@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedAlgebraKind,
 )
 from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, inv_mod, tensor_combine
+from .linalg import lex_blocks, lex_rows
 
 RSZ = "rsz"
 FREE_UNIVARIATE = "free_univariate"
@@ -487,34 +488,13 @@ class Subalgebra:
         return "W<" + "; ".join(",".join(str(x) for x in r) for r in rows) + ">"
 
 
-def _echelon_bases(g: int, k: int, p: int) -> Iterator[Mat]:
-    """All k-dimensional subspaces of F_p^g as reduced-echelon bases, in
-    lexicographic order of (pivot columns, free entries)."""
-    if k == 0:
-        yield Mat.zeros(0, g, p)
-        return
-    for pivots in itertools.combinations(range(g), k):
-        free_cells = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, g)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(p), repeat=len(free_cells)):
-            m = np.zeros((k, g), dtype=np.int64)
-            for r, c in zip(range(k), pivots):
-                m[r, c] = 1
-            for (r, c), v in zip(free_cells, values):
-                m[r, c] = v
-            yield Mat(p, m)
-
-
 def enumerate_proper_subalgebras(a: Algebra, scope: str = "all") -> list[Subalgebra]:
     """Proper unital subalgebras of an rsz algebra: one per subspace W < rad.
 
     scope="all" yields every proper subspace including W = 0; scope="maximal"
     only the hyperplanes of the radical.  Order is deterministic: dimension
-    ascending, then lexicographic echelon form.
+    ascending, then lexicographic echelon form.  Each (algebra, scope) lattice
+    is built once; a call returns a fresh list of its immutable Subalgebras.
     """
     if a.kind != RSZ:
         raise UnsupportedAlgebraKind(
@@ -522,13 +502,26 @@ def enumerate_proper_subalgebras(a: Algebra, scope: str = "all") -> list[Subalge
         )
     if scope not in ("all", "maximal"):
         raise ValueError(f"scope must be 'all' or 'maximal', got {scope!r}")
-    g = a.num_generators
-    dims = range(g) if scope == "all" else [g - 1]
+    return list(_subalgebra_lattice(a, scope))
+
+
+@lru_cache(maxsize=128)
+def _subalgebra_lattice(a: Algebra, scope: str) -> tuple[Subalgebra, ...]:
+    """The subalgebras of enumerate_proper_subalgebras: per dimension k and
+    pivot set, one (p^f, k, g) array of echelon bases whose f free cells run
+    over F_p^f in lexicographic order."""
+    g, p = a.num_generators, a.p
     out = []
-    for k in dims:
-        for basis in _echelon_bases(g, k, a.p):
-            out.append(Subalgebra(a, basis, _make_rsz(k, a.p)))
-    return out
+    for k in range(g) if scope == "all" else [g - 1]:
+        for pivots in itertools.combinations(range(g), k):
+            free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, g) if c not in pivots]
+            values, _ = lex_blocks(len(free), p, p ** len(free))
+            bases = np.zeros((len(values), k, g), dtype=np.int64)
+            bases[:, range(k), pivots] = 1
+            rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
+            bases[:, rows, cols] = values
+            out.extend(Subalgebra(a, Mat(p, basis), _make_rsz(k, p)) for basis in bases)
+    return tuple(out)
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -689,11 +682,14 @@ def enumerate_automorphisms(a: Algebra, budget: int = DEFAULT_BUDGET) -> Automor
 
 @lru_cache(maxsize=128)
 def _automorphism_group(a: Algebra) -> AutomorphismGroup:
+    # candidates come in blocks of at most 1024 rows: a table product holds d^2
+    # entries per candidate, and blocks of 4096 raised the peak RSS of a cold
+    # semidihedral build at p = 2 by 3 MB
     p = a.p
     if a.kind == RSZ:
         # GL(g, p) in lexicographic order of the entries
         g = a.num_generators
-        batches = (digits.reshape(len(digits), g, g) for digits in _lex_batches(g * g, p))
+        batches = (digits.reshape(len(digits), g, g) for digits in lex_rows(g * g, p, 1024))
         payloads = np.concatenate([m[_batch_invertible(m, p)] for m in batches])
     elif a.kind == FREE_UNIVARIATE:
         coeff, shift = np.divmod(np.arange(p * (p - 1), dtype=np.int64), p)
@@ -705,7 +701,7 @@ def _automorphism_group(a: Algebra) -> AutomorphismGroup:
     elif a.kind == TABLE:
         n_rad, n_gens, d = len(a.radical_basis), a.num_generators, len(a.basis_labels)
         found = []
-        for digits in _lex_batches(n_gens * n_rad, p):
+        for digits in lex_rows(n_gens * n_rad, p, 1024):
             # digit g * n_rad + r: coefficient of radical element r in generator g's image
             images = digits.reshape(len(digits), n_gens, n_rad).swapaxes(0, 1)
             gens = np.zeros((n_gens, len(digits), d), dtype=np.int64)
@@ -720,19 +716,6 @@ def _automorphism_group(a: Algebra) -> AutomorphismGroup:
 
 # misses of the per-algebra cache are builds of a group
 enumerate_automorphisms.cache_info = _automorphism_group.cache_info
-
-
-def _lex_batches(k: int, p: int) -> Iterator[np.ndarray]:
-    """F_p^k in lexicographic order, as (B, k) digit arrays of at most 1024
-    rows."""
-    total = p**k
-    powers = p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    # small batches keep the filters' temporaries small: a table product holds
-    # d^2 entries per candidate, and batches of 4096 raised the peak RSS of a
-    # cold semidihedral build at p = 2 by 3 MB
-    for start in range(0, total, 1024):
-        idx = np.arange(start, min(start + 1024, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % p  # big-endian digits = lex order
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:

@@ -27,7 +27,7 @@ from .algebra import (
     inverse,
 )
 from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
-from .linalg import Mat, _batch_rank, _mul_arrays, tensor_combine
+from .linalg import Mat, _batch_rank, _mul_arrays, lex_blocks, tensor_combine
 from .modrep import (
     Module,
     IsoResult,
@@ -242,12 +242,12 @@ _PROFILE_CELLS = 2**15
 
 
 def _profile_points(a: Algebra) -> np.ndarray | None:
-    """Every c in F_p^g in lexicographic order, or None where rank profiles
-    are not compared (non-rsz algebras, no generators, too many points)."""
+    """Every c in F_p^g in lexicographic order (one lex_blocks table), or None
+    where rank profiles are not compared (non-rsz, g = 0, too many points)."""
     g, p = a.num_generators, a.p
     if a.kind != RSZ or g == 0 or p**g > _PROFILE_POINTS:
         return None
-    return np.array(list(itertools.product(range(p), repeat=g)), dtype=np.int64)
+    return lex_blocks(g, p, _PROFILE_POINTS)[0]
 
 
 def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ All elimination is plain field arithmetic; there is no pivoting tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -288,8 +289,6 @@ def _rref(arr: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _rank(arr: np.ndarray, p: int) -> int:
-    if arr.size == 0:
-        return 0
     return len(_rref(arr, p)[1])
 
 
@@ -326,8 +325,7 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     if any(pc >= cols for pc in pivots):
         return None
     x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, cols:]
+    x[pivots] = red[: len(pivots), cols:]
     return x
 
 
@@ -350,65 +348,82 @@ def tensor_combine(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
     return _mul_arrays(coeffs, stack, p).reshape(shape)
 
 
-def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized invertibility over a (B, n, n) batch; returns a bool mask.
+def lex_blocks(k: int, p: int, size: int = 4096):
+    """F_p^k in lexicographic order as (suffixes, prefixes): the (p^lo, lo)
+    table of the last lo coordinates, lo the largest with p^lo <= size, and
+    an iterator over the first k - lo coordinates as tuples of Python ints;
+    each prefix followed by every suffix, in order, enumerates F_p^k.  No
+    index into F_p^k is formed, so nothing can leave int64.  Where p > size,
+    lo = 0 and each prefix is a whole vector."""
+    lo = 0
+    while lo < k and p ** (lo + 1) <= size:
+        lo += 1
+    suffixes = np.indices((p,) * lo, dtype=np.int64).reshape(lo, p**lo).T
+    return suffixes, itertools.product(range(p), repeat=k - lo)
 
-    Elimination is fraction-free: a row below the pivot becomes
-    pivot * row - entry * pivot_row, which scales it by a unit of F_p, so no
-    pivot inverse is needed and every product stays below p^2 < 2^62.
+
+def lex_rows(k: int, p: int, size: int) -> Iterator[np.ndarray]:
+    """F_p^k in lexicographic order as (B, k) arrays of at most `size` rows:
+    each prefix of lex_blocks and its suffix table or, where p > size leaves
+    none, each prefix of k - 1 coordinates and a range of the last one."""
+    suffixes, prefixes = lex_blocks(k, p, size)
+    ranged = k and not suffixes.shape[1]
+    if ranged:
+        _, prefixes = lex_blocks(k - 1, p, size)
+    for prefix in prefixes:
+        for start in range(0, p, size) if ranged else [0]:
+            tail = np.arange(start, min(start + size, p))[:, None] if ranged else suffixes
+            yield np.hstack([np.full((len(tail), len(prefix)), prefix, dtype=np.int64), tail])
+
+
+def _batch_eliminate(batch: np.ndarray, p: int, ranks: bool) -> np.ndarray:
+    """The one batched elimination loop over a (B, rows, cols) batch, with
+    the pivot of step c at (c, c).  It is fraction-free: a row below the
+    pivot becomes pivot * row - entry * pivot_row, a unit multiple of the
+    row, so every product stays below p^2 < 2^62.  For invertibility
+    (square residues) a matrix with no nonzero in column c at or below row
+    c is dead, and the mask of live matrices returns once none is left.  For
+    ranks such a matrix first swaps in the first later column that has one,
+    which keeps the rank; the rank is the number of pivots taken.
     """
-    b, n, _ = batch.shape
-    if n == 0:
-        return np.ones(b, dtype=bool)
-    a = batch.copy()
-    alive = np.ones(b, dtype=bool)
-    for c in range(n):
+    b, rows, cols = batch.shape
+    a = batch % p if ranks else batch.copy()
+    rank, alive = np.zeros(b, dtype=np.int64), np.ones(b, dtype=bool)
+    for c in range(min(rows, cols)):
+        if ranks:
+            # no pivot in column c: swap in the first later column with one
+            later = (a[:, c:, c:] != 0).any(axis=1)
+            moved = np.nonzero(~later[:, 0] & later.any(axis=1))[0]
+            if moved.size:
+                j = c + np.argmax(later[moved], axis=1)
+                a[moved, :, c], a[moved, :, j] = a[moved, :, j], a[moved, :, c]
         col = a[:, c:, c] != 0
         alive &= col.any(axis=1)
         if not alive.any():
-            return alive
+            break
+        if ranks:
+            rank += alive
         piv = c + np.argmax(col, axis=1)
         swap = np.nonzero(piv != c)[0]
         if swap.size:
-            rows_c = a[swap, c, :].copy()
-            a[swap, c, :] = a[swap, piv[swap], :]
-            a[swap, piv[swap], :] = rows_c
-        if c + 1 < n:
+            a[swap, c], a[swap, piv[swap]] = a[swap, piv[swap]], a[swap, c]
+        if c + 1 < rows:
             # columns left of c are already zero below the pivot row
             rest = a[:, c, c, None, None] * a[:, c + 1 :, c:]
             rest -= a[:, c + 1 :, c, None] * a[:, None, c, c:]
             rest %= p
             a[:, c + 1 :, c:] = rest
-    return alive
+    return rank if ranks else alive
+
+
+def _batch_invertible(batch: np.ndarray, p: int) -> np.ndarray:
+    """Invertibility mask of a (B, n, n) batch of residues."""
+    return _batch_eliminate(batch, p, ranks=False)
 
 
 def _batch_rank(batch: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a (B, r, c) batch: the fraction-free elimination of
-    _batch_invertible with one pivot row per matrix, advanced only where the
-    current column has a pivot at or below it."""
-    b, rows, cols = batch.shape
-    rank = np.zeros(b, dtype=np.int64)
-    if rows == 0:
-        return rank
-    a = batch % p
-    row_ids = np.arange(rows)
-    for c in range(cols):
-        col = (a[:, :, c] != 0) & (row_ids >= rank[:, None])
-        has = np.nonzero(col.any(axis=1))[0]
-        if not has.size:
-            continue
-        r = rank[has]
-        piv = np.argmax(col[has], axis=1)
-        sub = a[has]
-        k = np.arange(has.size)
-        pivot_row = sub[k, piv, :]
-        sub[k, piv, :] = sub[k, r, :]
-        sub[k, r, :] = pivot_row
-        pv = pivot_row[:, c, None, None]
-        f = np.where(row_ids > r[:, None], sub[:, :, c], 0)[:, :, None]
-        a[has] = (pv * sub - f * pivot_row[:, None, :]) % p
-        rank[has] += 1
-    return rank
+    """Ranks of a (B, rows, cols) batch."""
+    return _batch_eliminate(batch, p, ranks=True)
 
 
 def inverse_table(p: int) -> np.ndarray:

@@ -17,7 +17,6 @@ basis, through End's structure constants.
 from __future__ import annotations
 
 import functools
-import itertools
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -53,6 +52,7 @@ from .linalg import (
     _rank,
     _rref,
     _solve,
+    lex_blocks,
     tensor_combine,
 )
 
@@ -243,27 +243,24 @@ class IsoResult:
 # -- invertible element search in a matrix span -----------------------------
 
 
-def _coefficient_blocks(d: int, p: int, chunk: int = 4096):
-    """Split F_p^d in lexicographic order into (suffixes, prefixes): the
-    (p^lo, lo) table of the last lo coordinates, lo the largest with
-    p^lo <= chunk, and an iterator over the first d - lo coordinates.  Each
-    prefix followed by every suffix, in order, enumerates F_p^d."""
-    lo = 0
-    while lo < d and p ** (lo + 1) <= chunk:
-        lo += 1
-    suffixes = np.indices((p,) * lo, dtype=np.int64).reshape(lo, p**lo).T
-    return suffixes, itertools.product(range(p), repeat=d - lo)
-
-
 def _chunked_combos(basis: np.ndarray, p: int):
-    """Yield (count, combos) per prefix of _coefficient_blocks, in
-    lexicographic order: combos(start, stop) gives the combinations of
-    `basis` for suffixes start:stop after that prefix, so together they
-    enumerate every coefficient vector in order.  A single prefix combines
-    only the slices asked for; with more, the suffix combinations are
-    computed once and shifted by each prefix."""
-    suffixes, prefixes = _coefficient_blocks(basis.shape[0], p)
-    hi = basis.shape[0] - suffixes.shape[1]
+    """Yield (count, combos) per prefix of lex_blocks, in lexicographic
+    order: combos(start, stop) gives the combinations of `basis` for suffixes
+    start:stop after that prefix, so together they enumerate every
+    coefficient vector in order.  A single prefix combines only the slices
+    asked for; with more, the suffix combinations are computed once and
+    shifted by each prefix.  Where p > 4096 leaves no suffix, each prefix of
+    d - 1 coordinates takes base + t E_last for t in [0, p): exact in int64,
+    since t and every entry are below 2^31."""
+    d = basis.shape[0]
+    suffixes, prefixes = lex_blocks(d, p)
+    hi = d - suffixes.shape[1]
+    if hi == d:
+        _, prefixes = lex_blocks(d - 1, p)
+        for prefix in prefixes:
+            base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:-1], p)
+            yield p, lambda a, b: (base + np.arange(a, b)[:, None, None] * basis[-1]) % p
+        return
     if not hi:
         yield len(suffixes), lambda a, b: tensor_combine(suffixes[a:b], basis, p)
         return
@@ -541,11 +538,11 @@ def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
 
 def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
     """The first nontrivial idempotent of the algebra span(stack), in the
-    lexicographic coefficient order of _coefficient_blocks, or None.
+    lexicographic coefficient order of lex_blocks, or None.
 
     e = sum_i c_i E_i is idempotent iff Q_k(c) = sum_ij gamma_ijk c_i c_j
     equals c_k for every k.  Writing c = (x, y) with y a suffix of
-    _coefficient_blocks and s = sum_j y_j E_j, e^2 - e is
+    lex_blocks and s = sum_j y_j E_j, e^2 - e is
     (x^2 - x) + (xs + sx) + (s^2 - s): the last term is computed once for
     every suffix, and each prefix x adds a term linear in y, so a batch costs
     one (p^lo, lo) x (lo, d) product instead of p^lo n x n products.
@@ -555,12 +552,15 @@ def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
     s^2 - s accumulates lo^2 terms below p^3 (< 2^44) less a residue, a
     prefix's linear term lo terms below p^2 (< 2^28), and their sum with a
     residue stays below 2^53 in absolute value, so every float is an exact
-    integer.  With lo = 0 the float terms are residues below 2^31.  The
-    prefix terms go through tensor_combine, which is exact at every p.
+    integer.  With lo = 0 (p > 4096) the float terms are residues below
+    2^31, and each block holds one candidate: unlike _chunked_combos, no
+    range of the last coordinate is taken, since the bound needs suffix
+    digits below 4096.  The prefix terms go through tensor_combine, which is
+    exact at every p.
     """
     d, n, _ = stack.shape
     gamma = _structure_constants(stack, p)
-    suffixes, prefixes = _coefficient_blocks(d, p)
+    suffixes, prefixes = lex_blocks(d, p)
     lo = suffixes.shape[1]
     hi = d - lo
     # coordinates run down the rows, suffixes along them, so every

@@ -266,6 +266,48 @@ def test_subalgebra_bases_unique_and_echelon():
         assert s.as_algebra.num_generators == s.dim_w
 
 
+def _reference_echelon_bases(g, k, p):
+    """The k-dimensional subspaces of F_p^g as reduced-echelon bases, built
+    cell by cell: pivot columns, then free entries, both lexicographic."""
+    if k == 0:
+        return [[]]
+    bases = []
+    for pivots in itertools.combinations(range(g), k):
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, g) if c not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            m = np.zeros((k, g), dtype=np.int64)
+            for r, c in zip(range(k), pivots):
+                m[r, c] = 1
+            for (r, c), v in zip(free, values):
+                m[r, c] = v
+            bases.append(m.tolist())
+    return bases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_subalgebra_order_matches_the_per_cell_loop(g, p):
+    a = make_rsz_algebra(g, p)
+    for scope, dims in (("all", range(g)), ("maximal", [g - 1])):
+        subs = enumerate_proper_subalgebras(a, scope)
+        assert [s.w_basis.to_lists() for s in subs] == [
+            basis for k in dims for basis in _reference_echelon_bases(g, k, p)
+        ]
+        assert all(s.as_algebra == make_rsz_algebra(s.dim_w, p) for s in subs if s.dim_w)
+
+
+def test_subalgebra_lattice_is_built_once_and_returned_fresh():
+    a = make_rsz_algebra(2, 5)
+    first = enumerate_proper_subalgebras(a, "all")
+    labels = [s.label() for s in first]
+    first.clear()
+    again = enumerate_proper_subalgebras(a, "all")
+    assert [s.label() for s in again] == labels
+    assert again is not enumerate_proper_subalgebras(a, "all")
+    # the same Subalgebra objects, not rebuilt
+    assert all(x is y for x, y in zip(again, enumerate_proper_subalgebras(a, "all")))
+
+
 def test_subalgebra_enumeration_rejects_other_kinds():
     with pytest.raises(UnsupportedAlgebraKind):
         enumerate_proper_subalgebras(make_free_univariate(2))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from modequiv.linalg import (
     _rank,
     _rref,
     inv_mod,
+    lex_blocks,
+    lex_rows,
 )
 
 
@@ -171,18 +175,79 @@ def test_batch_invertible_agrees_with_scalar_path():
             assert (_rank(arr, p) == 4) == bool(ok)
 
 
+def _structured_batch(kind, p):
+    """40 matrices in which some column has no pivot at or below the
+    diagonal, so the rank loop must swap in a later column."""
+    rng = np.random.default_rng(p % 1000 + len(kind))
+    if kind == "strictly-upper":
+        return np.triu(rng.integers(0, p, size=(40, 4, 4)), k=1)
+    if kind == "square-zero":
+        # U N U^-1 with N = [[0, D], [0, 0]]: what rank profiles see
+        out = []
+        while len(out) < 40:
+            u = Mat(p, rng.integers(0, p, size=(4, 4)))
+            if u.is_invertible():
+                nil = np.zeros((4, 4), dtype=np.int64)
+                nil[:2, 2:] = np.diag(rng.integers(0, 2, size=2))
+                out.append((u @ Mat(p, nil) @ u.inverse()).a)
+        return np.array(out)
+    shape = {"zero-leading-column": (4, 4), "wide": (3, 6), "tall": (6, 3)}[kind]
+    batch = rng.integers(0, p, size=(40, *shape))
+    batch[:, :, 0] = 0
+    batch[::3, :, 1] = 0
+    batch[1::4, -1] = batch[1::4, 0] * 2 % p  # dependent rows
+    return batch
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 2_147_483_647])
-@pytest.mark.parametrize("shape", [(3, 3), (5, 2), (2, 5), (1, 1), (4, 4)])
+@pytest.mark.parametrize("shape", [
+    (3, 3), (5, 2), (2, 5), (1, 1), (4, 4),
+    "strictly-upper", "square-zero", "zero-leading-column", "wide", "tall",
+])
 def test_batch_rank_agrees_with_rank(p, shape):
-    rng = np.random.default_rng(p % 1000 + 10 * shape[0] + shape[1])
-    batch = rng.integers(0, p, size=(40, *shape), dtype=np.int64)
-    batch[0] = 0
-    k = min(shape)
-    batch[1] = 0
-    batch[1, :k, :k] = np.eye(k, dtype=np.int64)  # full rank
-    batch[2:10, -1] = batch[2:10, 0]  # repeated rows
-    batch[10:14] = np.outer(np.arange(1, shape[0] + 1), np.arange(1, shape[1] + 1)) % p
+    if isinstance(shape, str):
+        batch = _structured_batch(shape, p).astype(np.int64)
+    else:
+        rng = np.random.default_rng(p % 1000 + 10 * shape[0] + shape[1])
+        batch = rng.integers(0, p, size=(40, *shape), dtype=np.int64)
+        batch[0] = 0
+        k = min(shape)
+        batch[1] = 0
+        batch[1, :k, :k] = np.eye(k, dtype=np.int64)  # full rank
+        batch[2:10, -1] = batch[2:10, 0]  # repeated rows
+        batch[10:14] = np.outer(np.arange(1, shape[0] + 1), np.arange(1, shape[1] + 1)) % p
     assert [int(r) for r in _batch_rank(batch, p)] == [_rank(m, p) for m in batch]
+
+
+def test_batch_invertible_stops_at_the_first_column_without_a_pivot():
+    # every matrix is singular in column 0, so nothing right of it is read:
+    # the entries there are not even numbers
+    batch = np.full((4, 3, 3), None, dtype=object)
+    batch[:, :, 0] = 0
+    assert not _batch_invertible(batch, 5).any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 4099])
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_lex_blocks_enumerate_in_product_order(p, k):
+    size = 4096
+    suffixes, prefixes = lex_blocks(k, p, size)
+    assert len(suffixes) <= size and suffixes.dtype == np.int64
+    limit = 3 * size  # the whole space, or its first rows where p^k is large
+    got = []
+    for prefix in itertools.islice(prefixes, limit):
+        got += [tuple(prefix) + tuple(s) for s in suffixes.tolist()]
+    want = itertools.islice(itertools.product(range(p), repeat=k), limit * len(suffixes))
+    assert got == list(want)
+    if p**k <= limit:
+        assert len(got) == p**k
+    rows = []
+    for block in lex_rows(k, p, 1024):
+        assert block.dtype == np.int64 and 1 <= len(block) <= 1024
+        rows += map(tuple, block.tolist())
+        if len(rows) >= limit:
+            break
+    assert rows[:limit] == got[:limit]
 
 
 def test_batch_rank_of_empty_matrices():

@@ -333,11 +333,20 @@ def test_large_span_witness_is_the_first_invertible_random_draw(p, n, d, seed):
     assert searched == _slice_end(first)
 
 
-@pytest.mark.parametrize("p, d", [(2, 5), (2, 13), (3, 8), (5, 6)])
-def test_no_exhaustion_reports_the_whole_span(p, d):
+@pytest.mark.parametrize("p, d", [(2, 5), (2, 13), (3, 8), (5, 6), (65537, 1)])
+def test_no_exhaustion_reports_the_whole_span(p, d, monkeypatch):
     # row 0 vanishes in every element of the span
     stack = _singular_basis(p, 3, d, seed=d, shared=d)
+    calls = []
+    monkeypatch.setattr(
+        modrep, "_batch_invertible", lambda b, q: calls.append(len(b)) or _batch_invertible(b, q)
+    )
     assert _find_invertible(stack, p, 2**20, seed=0) == ("no", None, p**d)
+    if p > 4096:
+        # above p = 4096 the last coordinate is checked in slices growing to
+        # 4096, not one candidate a call: one basis check, three slices of the
+        # 256-element burst, then 1024 and sixteen slices of at most 4096
+        assert len(calls) <= 21 and max(calls) == 4096
 
 
 def _iso_and_hom_calls(monkeypatch, m1, m2):
