@@ -10,8 +10,8 @@ falls back to seeded random sampling that can only answer Yes or Undecided.
 A No is sound by exhaustion or by a Hom-dimension obstruction, checked
 after a one-batch exhaustion and a 256-element seeded random burst (before
 the burst while numpy.random is not loaded), before any larger search.
-Indecomposability searches End(M) for idempotents in the coordinates of its
-basis, through End's structure constants.
+Indecomposability searches End(M) for idempotents modulo a square-zero ideal,
+through the structure constants, and lifts each one by a linear solve.
 """
 
 from __future__ import annotations
@@ -495,10 +495,16 @@ def _fitting_idempotent(e: np.ndarray, p: int) -> Mat | None:
 def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
     """Decide indecomposability via idempotents of the endomorphism algebra.
 
-    A Fitting pre-pass on the End basis cheaply certifies decomposability;
-    otherwise the End space is enumerated for nontrivial idempotents within
-    the budget (exhaustion proves indecomposability), testing e^2 = e in the
-    coordinates of the End basis through its structure constants.
+    A Fitting pre-pass on the End basis cheaply certifies decomposability.
+    Otherwise E = End(m), of dimension d, is searched modulo its square-zero
+    ideal N of dimension k (_square_zero_ideal): the p^(d - k) classes of
+    E/N, which is what the budget counts, are enumerated for idempotents,
+    and each nontrivial one is lifted to the idempotents of its coset by one
+    linear solve (_first_idempotent).  The cosets of N partition all p^d
+    elements of E and each coset is decided exactly, so a search that finds
+    nothing proves that none of the p^d elements is a nontrivial idempotent,
+    as the Yes note says.  A returned idempotent is re-verified: e^2 = e,
+    e is neither 0 nor 1, and e intertwines the action.
     """
     n = m.dim
     if n < 1:
@@ -513,16 +519,21 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
             if not idem.is_zero():
                 return IndecResult(Verdict.NO, idempotent=idem, note="fitting split")
     d = end.dim
-    if p**d > budget:
+    ideal = _square_zero_ideal(end.basis, m.actions, p)
+    q = d - len(ideal)
+    if p**q > budget:
         return IndecResult(
-            Verdict.UNDECIDED, note=f"End space of dim {d} exceeds budget {budget}"
+            Verdict.UNDECIDED,
+            note=f"End space of dim {d}, {q} modulo a square-zero ideal, exceeds budget {budget}",
         )
-    if d == 0:
-        return IndecResult(Verdict.YES, note="trivial endomorphism algebra")
-    idem = _first_idempotent(end.basis, p)
-    if idem is not None:
-        return IndecResult(Verdict.NO, idempotent=Mat(p, idem), note="idempotent search")
-    return IndecResult(Verdict.YES, note=f"no nontrivial idempotent among {p ** d}")
+    idem = _first_idempotent(end.basis, ideal, p)
+    if idem is None:
+        return IndecResult(Verdict.YES, note=f"no nontrivial idempotent among {p ** d}")
+    idem = Mat(p, idem)
+    trivial = idem.is_zero() or idem == Mat.identity(n, p)
+    if trivial or idem @ idem != idem or not _intertwines(m, m, idem):
+        raise RelationViolated("idempotent search returned no nontrivial idempotent endomorphism")
+    return IndecResult(Verdict.NO, idempotent=idem, note="idempotent search")
 
 
 def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
@@ -536,16 +547,120 @@ def _structure_constants(stack: np.ndarray, p: int) -> np.ndarray:
     return gamma.T.reshape(d, d, d)
 
 
-def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
-    """The first nontrivial idempotent of the algebra span(stack), in the
-    lexicographic coefficient order of lex_blocks, or None.
+def _square_zero_ideal(stack: np.ndarray, actions: np.ndarray, p: int) -> np.ndarray:
+    """The RREF coordinates (k, d), over the basis stack of E = End(M), of
+    N = {x in E : x(M) in R, x(R) = 0}, R = sum_i im A_i for the (g, n, n)
+    actions A.
 
-    e = sum_i c_i E_i is idempotent iff Q_k(c) = sum_ij gamma_ijk c_i c_j
-    equals c_k for every k.  Writing c = (x, y) with y a suffix of
-    lex_blocks and s = sum_j y_j E_j, e^2 - e is
-    (x^2 - x) + (xs + sx) + (s^2 - s): the last term is computed once for
-    every suffix, and each prefix x adds a term linear in y, so a batch costs
-    one (p^lo, lo) x (lo, d) product instead of p^lo n x n products.
+    Every x in E commutes with each A_i, so x(R) is in R.  Hence for x in E
+    and z, z' in N, xz and zx map M into R and R to 0, and zz' = 0: N is a
+    two-sided ideal with N^2 = 0.  x(M) is in R iff W x = 0, W the left
+    annihilator of R, and x(R) = 0 iff x A_i = 0 for every i, so N is one
+    nullspace in the d coordinates.  N = 0 when R = 0 or R = M."""
+    d, n, _ = stack.shape
+    g = len(actions)
+    cat = actions.transpose(1, 0, 2).reshape(n, g * n)
+    left = _nullspace(cat.T, p)
+    conditions = np.concatenate(
+        [
+            _mul_arrays(left, stack, p).reshape(d, len(left) * n),
+            _mul_arrays(stack, cat, p).reshape(d, n * g * n),
+        ],
+        axis=1,
+    )
+    coords = _nullspace(conditions.T, p)
+    return _rref(coords, p)[0][: len(coords)]
+
+
+def _first_idempotent(stack: np.ndarray, ideal: np.ndarray, p: int) -> np.ndarray | None:
+    """The first nontrivial idempotent of the algebra E = span(stack), in the
+    lexicographic order of its coefficients, or None; `ideal` holds the RREF
+    coordinates (k, d) of a two-sided ideal N of E with N^2 = 0.
+
+    In the basis of _adapted_basis, the structure constants of the first
+    q = d - k elements read modulo N are those of E/N, whose p^q elements
+    are enumerated for idempotents (_quotient_idempotents).  The classes of
+    0 and 1 are skipped, since an idempotent in N is 0 and one in 1 + N is 1.
+    The idempotents in the coset of any other class form an affine subspace
+    (_idempotent_coset), and the answer is the least of their least points
+    (_lex_least) over every class; with k = 0 the quotient is E in its own
+    coordinates and the first class found is the answer.  The cosets of N
+    partition E and each is decided exactly, so None means that no element
+    of E is a nontrivial idempotent.
+    """
+    k = len(ideal)
+    q = len(stack) - k
+    change, gamma = _adapted_basis(stack, ideal, p)
+    quotient = gamma[:q, :q, :q]
+    eye = np.eye(q, dtype=np.int64)
+    best = None
+    for u in _quotient_idempotents(quotient, p):
+        # u is the class of 1 iff u F_j = F_j modulo N for every j
+        if not u.any() or np.array_equal(tensor_combine(u, quotient, p), eye):
+            continue
+        if not k:
+            return tensor_combine(u, stack, p)
+        point = _lex_least(*_idempotent_coset(u, gamma, change, p), p)
+        if best is None or tuple(point) < tuple(best):
+            best = point
+    return None if best is None else tensor_combine(best, stack, p)
+
+
+def _adapted_basis(stack: np.ndarray, ideal: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(change, gamma): the (d, d) coordinates over stack of the unit vectors
+    at the non-pivot coordinates of the RREF rows `ideal`, then those rows,
+    and the structure constants in that basis.  Its last k elements span N
+    and its first d - k a complement; with k = 0, change is the identity."""
+    d = len(stack)
+    free = np.ones(d, dtype=bool)
+    free[np.argmax(ideal != 0, axis=1)] = False
+    change = np.concatenate([np.eye(d, dtype=np.int64)[free], ideal])
+    return change, _structure_constants(tensor_combine(change, stack, p), p)
+
+
+def _idempotent_coset(
+    u: np.ndarray, gamma: np.ndarray, change: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(base, directions) in the coordinates of the original basis, such that
+    the idempotents of E over the idempotent u of E/N are base +
+    span(directions); gamma and change as _adapted_basis gives them.
+
+    With e0 = sum_j u_j F_j, they are e0 + n, n = sum_l t_l F_(q+l) in N,
+    where (L_e0 + R_e0 - 1) n = e0 - e0^2: linear in t because N^2 = 0, so
+    one solve gives a particular t and one nullspace the directions.  A
+    solution exists because N is nilpotent, so idempotents lift."""
+    q = len(u)
+    k = len(change) - q
+    sq = tensor_combine(u, tensor_combine(u, gamma[:q, :q], p), p)
+    # coefficient of F_(q+m) in e0 F_(q+l) + F_(q+l) e0, at [l, m]
+    both = tensor_combine(u, gamma[:q, q:, q:] + gamma[q:, :q, q:].transpose(1, 0, 2), p)
+    system = (both.T - np.eye(k, dtype=np.int64)) % p
+    t = _solve(system, -sq[q:] % p, p)
+    if t is None:
+        raise RelationViolated("an idempotent of E/N does not lift")
+    base = tensor_combine(np.concatenate([u, t[:, 0]]), change, p)
+    return base, tensor_combine(_nullspace(system, p), change[q:], p)
+
+
+def _lex_least(base: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
+    """The lexicographically least point of base + span(directions): base
+    reduced to 0 at the pivots of the directions' RREF.  Every point agrees
+    with base before the first pivot, the first pivot's coordinate is free
+    and least at 0, and so on for each later pivot."""
+    red, pivots = _rref(directions, p)
+    return (base - tensor_combine(base[pivots], red[: len(pivots)], p)) % p
+
+
+def _quotient_idempotents(gamma: np.ndarray, p: int):
+    """Every c in F_p^q with sum_ij gamma_ijk c_i c_j = c_k for every k, as
+    int64 arrays in the lexicographic order of lex_blocks: the idempotents,
+    0 and 1 included, of the algebra with structure constants gamma (q, q, q).
+
+    Writing c = (x, y) with y a suffix of lex_blocks and s the element with
+    coordinates (0, y), e^2 - e is (x^2 - x) + (xs + sx) + (s^2 - s): the
+    last term is computed once for every suffix, and each prefix x adds a
+    term linear in y, so a batch costs one (p^lo, lo) x (lo, q) product
+    instead of p^lo squarings.
 
     Exactness: once lo >= 1 the suffix table fits one chunk, so p <= 4096 and
     lo <= 12, and the float64 products below have integer terms in [0, p):
@@ -558,21 +673,19 @@ def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
     digits below 4096.  The prefix terms go through tensor_combine, which is
     exact at every p.
     """
-    d, n, _ = stack.shape
-    gamma = _structure_constants(stack, p)
-    suffixes, prefixes = lex_blocks(d, p)
+    q = len(gamma)
+    suffixes, prefixes = lex_blocks(q, p)
     lo = suffixes.shape[1]
-    hi = d - lo
+    hi = q - lo
     # coordinates run down the rows, suffixes along them, so every
     # elementwise step runs over p^lo contiguous entries
     y = suffixes.T.astype(np.float64)
-    s_sq = np.zeros((d, y.shape[1]))
+    s_sq = np.zeros((q, y.shape[1]))
     for i in range(lo):
         s_sq += (gamma[hi + i, hi:].T @ y) * y[i]
     s_sq[hi:] -= y
     # xs + sx = sum_{i < hi, j >= hi} x_i y_j (gamma_ij + gamma_ji)
     cross = (gamma[:hi, hi:] + gamma[hi:, :hi].transpose(1, 0, 2)) % p
-    eye = np.eye(n, dtype=np.int64)
     for prefix in prefixes:
         x = np.array(prefix, dtype=np.int64)
         x_sq = tensor_combine(x, tensor_combine(x, gamma[:hi, :hi], p), p)
@@ -582,10 +695,7 @@ def _first_idempotent(stack: np.ndarray, p: int) -> np.ndarray | None:
         # rem and rint(rem / p) * p are exact integers below 2^53; they are
         # equal iff p divides rem, when the division is exact too
         for idx in np.nonzero((np.rint(rem / p) * p == rem).all(axis=0))[0]:
-            cand = tensor_combine(np.concatenate([x, suffixes[idx]]), stack, p)
-            if cand.any() and not np.array_equal(cand, eye):
-                return cand
-    return None
+            yield np.concatenate([x, suffixes[idx]])
 
 
 def _restrict_to_invariant(m: Module, cols: Mat) -> Module:

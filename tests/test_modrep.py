@@ -25,12 +25,14 @@ from modequiv.errors import (
 )
 from modequiv.families import FIXTURE_NAMES, INFINITY, band_module, c2, c3, fixture, jordan, k_module
 from modequiv import modrep
-from modequiv.linalg import Mat, _batch_invertible, _nullspace, _solve, rand_invertible
+from modequiv.linalg import Mat, _batch_invertible, _nullspace, _solve, rand_invertible, tensor_combine
 from modequiv.modrep import (
     Verdict,
     _find_invertible,
-    _spans_identity,
+    _adapted_basis,
     _first_idempotent,
+    _spans_identity,
+    _square_zero_ideal,
     conjugate,
     decompose,
     direct_sum,
@@ -437,13 +439,72 @@ def _end_stack(m):
     return hom_space(m, m).basis
 
 
-def _assert_same_first_idempotent(m):
-    stack = _end_stack(m)
-    p = m.algebra.p
-    got, want = _first_idempotent(stack, p), _reference_first_idempotent(stack, p)
+def _no_ideal(stack):
+    return np.zeros((0, len(stack)), dtype=np.int64)
+
+
+def _quotient_search(m):
+    """_first_idempotent on End(m) modulo the square-zero ideal of m's action."""
+    stack, p = _end_stack(m), m.algebra.p
+    return _first_idempotent(stack, _square_zero_ideal(stack, m.actions, p), p)
+
+
+def _assert_same_first_idempotent(m, want):
+    got = _quotient_search(m)
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(got, want)
+
+
+class _LiftLog:
+    """Records every _lex_least call of the searches run under it."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        self.reached = {"k = 0": 0, "least point is not the base": 0, "not the first class": 0}
+        original = modrep._lex_least
+
+        def logged(base, directions, p):
+            point = original(base, directions, p)
+            self.calls.append((base, directions, point))
+            return point
+
+        monkeypatch.setattr(modrep, "_lex_least", logged)
+
+    def search(self, m):
+        """The quotient search on End(m), counting the cases it reached."""
+        self.calls.clear()
+        stack, p = _end_stack(m), m.algebra.p
+        ideal = _square_zero_ideal(stack, m.actions, p)
+        got = _first_idempotent(stack, ideal, p)
+        self.reached["k = 0"] += not len(ideal)
+        self.reached["least point is not the base"] += any(
+            len(directions) and not np.array_equal(point, base)
+            for base, directions, point in self.calls
+        )
+        first = tensor_combine(self.calls[0][2], stack, p) if self.calls else None
+        self.reached["not the first class"] += len(self.calls) > 1 and not np.array_equal(got, first)
+        return got
+
+
+def _assert_matches_reference_with_conjugates(m, log, rng):
+    """The quotient search on m and on 3 seeded conjugates of m equals the
+    matrix loop.  Where m has no nontrivial idempotent, neither has any
+    conjugate, whose End algebra is isomorphic to m's.  Returns whether m
+    has one."""
+    p = m.algebra.p
+    want = _reference_first_idempotent(_end_stack(m), p)
+    found = want is not None
+    for i in range(4):
+        if i:
+            m = conjugate(m, rand_invertible(m.dim, p, rng))
+            if want is not None:
+                want = _reference_first_idempotent(_end_stack(m), p)
+        got = log.search(m)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+    return found
 
 
 def _family_modules(p):
@@ -457,37 +518,62 @@ def _family_modules(p):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_coordinate_search_matches_matrix_loop_on_families(p):
+def test_coordinate_search_matches_matrix_loop_on_families(p, monkeypatch):
+    log, rng = _LiftLog(monkeypatch), np.random.default_rng(p)
     checked = 0
     for m in _family_modules(p):
         d = hom_space(m, m).dim
         if m.dim > 1 and p**d <= 2**20:
-            _assert_same_first_idempotent(m)
+            _assert_matches_reference_with_conjugates(m, log, rng)
             checked += 1
     assert checked >= 20
+    assert log.reached["k = 0"]
+    if p == 3:
+        assert log.reached["least point is not the base"]
+        assert log.reached["not the first class"]
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_coordinate_search_matches_matrix_loop_on_direct_sums(p):
+def test_coordinate_search_matches_matrix_loop_on_direct_sums(p, monkeypatch):
+    log = _LiftLog(monkeypatch)
     alg = make_rsz_algebra(2, p)
     rng = np.random.default_rng(60 + p)
     found = 0
     for shapes in [((1, 1), (0, 1)), ((1, 1), (1, 1)), ((1, 2), (1, 0)), ((2, 1), (1, 1))]:
         parts = [_random_square_zero_module(alg, top, bottom, rng) for top, bottom in shapes]
         m = direct_sum(*parts)
-        m = conjugate(m, rand_invertible(m.dim, p, rng))
         if p ** hom_space(m, m).dim <= 2**20:
-            _assert_same_first_idempotent(m)
-            found += _first_idempotent(_end_stack(m), p) is not None
+            found += _assert_matches_reference_with_conjugates(m, log, rng)
     assert found
+    if p == 3:
+        assert log.reached["least point is not the base"]
+        assert log.reached["not the first class"]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        trivial_module(make_rsz_algebra(2, 2), 2),
+        trivial_module(make_rsz_algebra(2, 3), 3),
+        direct_sum(jordan(1, 2, 3), jordan(2, 2, 3)),
+    ],
+)
+def test_quotient_search_without_an_ideal_returns_the_first_idempotent(m):
+    # zero actions (R = 0) and an invertible X (R = M) leave N = 0
+    stack, p = _end_stack(m), m.algebra.p
+    assert not len(_square_zero_ideal(stack, m.actions, p))
+    want = _reference_first_idempotent(stack, p)
+    assert want is not None
+    _assert_same_first_idempotent(m, want)
 
 
 def test_coordinate_search_on_largest_budgeted_end_space():
     # End(K(0,2) + K(1,2)) at p = 2 has dimension 20: the full 2^20 budget
     m = direct_sum(k_module(0, 2, 2), k_module(1, 2, 2))
     assert hom_space(m, m).dim == 20
-    _assert_same_first_idempotent(m)
-    assert _first_idempotent(_end_stack(m), 2) is not None
+    want = _reference_first_idempotent(_end_stack(m), 2)
+    assert want is not None
+    _assert_same_first_idempotent(m, want)
 
 
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 4)])
@@ -503,7 +589,7 @@ def test_coordinate_search_needs_both_prefix_and_suffix(p, n, seed):
     rebased = np.tensordot(rand_invertible(len(upper), p, rng).a, upper, axes=1) % p
     r = np.tensordot(rng.integers(0, p, size=len(upper)), upper, axes=1)
     stack = np.stack([(e(n, 1, 1, p).a + r) % p, np.eye(n, dtype=np.int64), *rebased])
-    got = _first_idempotent(stack, p)
+    got = _first_idempotent(stack, _no_ideal(stack), p)
     assert np.array_equal(got, _reference_first_idempotent(stack, p))
     assert got[0, 0] == 1
 
@@ -512,17 +598,83 @@ def test_coordinate_search_with_single_candidate_batches():
     # at p = 67 > 4096^(1/2) the search takes one suffix coordinate; at
     # p = 4099 > 4096 every batch holds one candidate
     diag = np.stack([np.diag([1, 0]), np.diag([0, 1])]).astype(np.int64)
-    got = _first_idempotent(diag, 67)
+    got = _first_idempotent(diag, _no_ideal(diag), 67)
     assert np.array_equal(got, _reference_first_idempotent(diag, 67))
     assert np.array_equal(got, np.diag([0, 1]))
-    assert _first_idempotent(np.eye(2, dtype=np.int64)[None], 4099) is None
+    eye = np.eye(2, dtype=np.int64)[None]
+    assert _first_idempotent(eye, _no_ideal(eye), 4099) is None
 
 
 def test_structure_constants_reject_a_span_not_closed_under_products():
     # E_12 E_21 = E_11 lies outside span(E_12, E_21)
     stack = np.stack([e(2, 1, 2, 3).a, e(2, 2, 1, 3).a])
     with pytest.raises(RelationViolated):
-        _first_idempotent(stack, 3)
+        _first_idempotent(stack, _no_ideal(stack), 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_square_zero_ideal_is_a_two_sided_ideal_with_zero_square(p):
+    # in the adapted basis N is spanned by the last k elements: every product
+    # with one factor in N has no coordinate outside N, and N N = 0
+    nonzero = 0
+    for m in _family_modules(p):
+        stack = _end_stack(m)
+        ideal = _square_zero_ideal(stack, m.actions, p)
+        q = len(stack) - len(ideal)
+        _, gamma = _adapted_basis(stack, ideal, p)
+        assert not gamma[:, q:, :q].any() and not gamma[q:, :, :q].any()
+        assert not gamma[q:, q:].any()
+        assert q >= 1
+        nonzero += len(ideal) > 0
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize(
+    "p, verdict, note",
+    [
+        # 5^12 End elements, 5^3 classes modulo the square-zero ideal
+        (5, Verdict.YES, "no nontrivial idempotent among 244140625"),
+        (65537, Verdict.UNDECIDED, "End space of dim 12, 3 modulo a square-zero ideal, exceeds"),
+    ],
+)
+def test_k03_budget_counts_quotient_classes(p, verdict, note):
+    res = is_indecomposable(k_module(0, 3, p))
+    assert res.verdict is verdict
+    assert res.note.startswith(note)
+
+
+@pytest.mark.parametrize(
+    "p, seed",
+    [(3, s) for s in (145, 173, 180, 441, 462, 513, 578, 629, 743, 777, 916, 923)]
+    + [(5, s) for s in (5, 7, 84, 105, 109, 110)],
+)
+def test_split_sum_without_fitting_split_decomposes(p, seed):
+    # under these base changes no End basis element gives a Fitting split,
+    # and the 20-dimensional End space exceeds the budget: only the quotient
+    # search finds the idempotent
+    m = direct_sum(k_module(0, 2, p), k_module(1, 2, p))
+    m = conjugate(m, rand_invertible(8, p, np.random.default_rng(seed)))
+    res = is_indecomposable(m)
+    assert res.verdict.is_no
+    assert res.note == "idempotent search"
+    idem = res.idempotent
+    assert idem @ idem == idem and modrep._intertwines(m, m, idem)
+    assert not idem.is_zero() and idem != Mat.identity(8, p)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda n, p: 2 * np.eye(n, dtype=np.int64),  # an endomorphism, not idempotent
+        lambda n, p: np.diag([1] + [0] * (n - 1)).astype(np.int64),  # idempotent, not an endomorphism
+        lambda n, p: np.eye(n, dtype=np.int64),  # a trivial idempotent
+    ],
+)
+def test_idempotent_search_result_is_reverified(bad, monkeypatch):
+    m = k_module(0, 3, 3)
+    monkeypatch.setattr(modrep, "_first_idempotent", lambda stack, ideal, p: bad(m.dim, p))
+    with pytest.raises(RelationViolated):
+        is_indecomposable(m)
 
 
 def test_decompose_trivial():
