@@ -9,6 +9,7 @@ first failing item in enumeration order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_BUDGET,
+    DIHEDRAL,
     RSZ,
     Algebra,
     Automorphism,
@@ -273,17 +275,26 @@ def _twisted_profiles(
         yield profile[images @ powers]
 
 
-def _profile_survivors(m1: Module, m2: Module, autos: AutomorphismGroup) -> Iterator[int]:
-    """Indices, in enumeration order, of the automorphisms f for which the
-    rank profile of twist(m2, f) equals that of m1, or every index where rank
-    profiles are not compared.  Chunks are scanned as they are consumed."""
+def _profiles(m1: Module, m2: Module) -> tuple | None:
+    """(points, profile of m1, profile of m2), or None where rank profiles
+    are not compared."""
     points = _profile_points(m1.algebra)
     if points is None:
+        return None
+    return points, _rank_profile(m1, points), _rank_profile(m2, points)
+
+
+def _profile_survivors(profiles: tuple | None, autos: AutomorphismGroup) -> Iterator[int]:
+    """Indices, in enumeration order, of the automorphisms f for which the
+    rank profile of twist(m2, f) equals that of m1, given _profiles(m1, m2),
+    or every index where rank profiles are not compared.  Chunks are
+    scanned as they are consumed."""
+    if profiles is None:
         yield from range(len(autos))
         return
-    r1 = _rank_profile(m1, points)
+    points, r1, r2 = profiles
     start = 0
-    for tw in _twisted_profiles(_rank_profile(m2, points), points, autos):
+    for tw in _twisted_profiles(r2, points, autos):
         yield from (start + np.nonzero((tw == r1).all(axis=1))[0]).tolist()
         start += len(tw)
 
@@ -302,20 +313,28 @@ def t_isomorphic(
     enumeration order, go through the full witness search.
     """
     _same_algebra(m1, m2)
+    return _twist_scan(m1, m2, _profiles(m1, m2), budget, seed)
+
+
+def _twist_scan(
+    m1: Module, m2: Module, profiles: tuple | None, budget: int, seed: int
+) -> EquivVerdict:
+    """t_isomorphic given _profiles(m1, m2).  End(m1) is built only once an
+    automorphism survives the profile test."""
     autos = enumerate_automorphisms(m1.algebra, budget)
     if m1.dim != m2.dim:
         return EquivVerdict(Verdict.NO, note="all automorphisms exhausted", checked=len(autos))
-    end_dim = hom_space(m1, m1).dim
+    end_dim = functools.cache(lambda: hom_space(m1, m1).dim)
 
     def decide(f: Automorphism) -> IsoResult:
         twisted = twist(m2, f)
         hom = hom_space(m1, twisted)
-        if hom.dim != end_dim:
+        if hom.dim != end_dim():
             return IsoResult(Verdict.NO)
         return _iso_from_hom(m1, twisted, hom, budget, seed)
 
     res = _scan(
-        ((idx, autos[idx]) for idx in _profile_survivors(m1, m2, autos)),
+        ((idx, autos[idx]) for idx in _profile_survivors(profiles, autos)),
         decide,
         Verdict.YES,
         EquivVerdict(Verdict.YES),
@@ -360,11 +379,16 @@ def t_orbit(
     The partition is built greedily against class representatives and every
     intra-class pair is then re-verified with a composed witness, so each
     pair inside a class carries a directly checked (f, phi).  closure=False
-    skips the twist-enumeration closure check (for large orbits).  In the
-    closure pass over rsz algebras, the rank profile of twist(m, f) is m's
-    profile read through f, and is_isomorphic runs only against
-    representatives and candidates of equal profile; unequal profiles
-    certify non-isomorphism.
+    skips the twist-enumeration closure check (for large orbits).
+
+    The closure pass takes one twist of m per isomorphism class of its
+    twists.  By orbit-stabiliser these classes are the cosets of the
+    stabiliser of m's class, in compose's convention (_twist_class_firsts),
+    so the search costs one is_isomorphic per profile survivor of (m, m)
+    rather than a comparison of every twist with every representative.
+    Each representative is then matched against the candidates; over rsz
+    algebras is_isomorphic runs only on equal rank profiles, since unequal
+    profiles certify non-isomorphism.
     """
     mods = [m, *candidates]
     for other in mods[1:]:
@@ -402,59 +426,101 @@ def t_orbit(
     if not closure:
         return TOrbitResult(partition)
 
-    autos = enumerate_automorphisms(m.algebra, budget)
-    points = _profile_points(m.algebra)
-    if points is None:
-        none = np.zeros(0, dtype=np.int64)
-        twisted_profiles = itertools.repeat(none)
-        cand_profiles = [none] * len(mods)
-    else:
-        chunks = _twisted_profiles(_rank_profile(m, points), points, autos)
-        twisted_profiles = itertools.chain.from_iterable(chunks)
-        cand_profiles = [_rank_profile(cand, points) for cand in mods]
-
     def same(a: Module, b: Module) -> bool:
         res = is_isomorphic(a, b, budget, seed)
         if res.verdict.is_undecided:
             raise UndecidedError("orbit closure comparison undecided")
         return res.verdict.is_yes
 
-    reps: list[Module] = []
-    rep_profiles: list[np.ndarray] = []
-    rep_matched: list[bool] = []
-    for f, prof in zip(autos, twisted_profiles):
-        tw = twist(m, f)
-        if any(
-            np.array_equal(rp, prof) and same(r, tw) for r, rp in zip(reps, rep_profiles)
-        ):
-            continue
-        reps.append(tw)
-        rep_profiles.append(prof)
-        rep_matched.append(
-            any(
-                np.array_equal(cp, prof) and same(cand, tw)
-                for cand, cp in zip(mods, cand_profiles)
-            )
-        )
-    unmatched = tuple(i for i, ok in enumerate(rep_matched) if not ok)
+    autos = enumerate_automorphisms(m.algebra, budget)
+    reps = [twist(m, autos[i]) for i in _twist_class_firsts(m, autos, same)]
+    points = _profile_points(m.algebra)
+
+    def profile(x: Module) -> bytes:
+        return b"" if points is None else _rank_profile(x, points).tobytes()
+
+    cand_profiles = [profile(cand) for cand in mods]
+    unmatched = []
+    for k, rep in enumerate(reps):
+        prof = profile(rep)
+        if not any(cp == prof and same(cand, rep) for cand, cp in zip(mods, cand_profiles)):
+            unmatched.append(k)
     return TOrbitResult(
         partition,
         orbit_reps=tuple(reps),
         closed=not unmatched,
-        unmatched_reps=unmatched,
+        unmatched_reps=tuple(unmatched),
     )
+
+
+def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
+    """The index of the first automorphism of each isomorphism class of
+    twists of m, in enumeration order; same(a, b) decides a ~ b, where ~
+    is isomorphism.
+
+    Stab(m) = {h : twist(m, h) ~ m} is decided on the profile survivors of
+    (m, m); a profile mismatch certifies that h is not in it.  compose(h, f)
+    twists by h and then by f, and twisting keeps isomorphism, so
+    twist(m, compose(h, f)) ~ twist(m, f) iff h is in Stab(m).  Hence
+    twist(m, f') ~ twist(m, f) iff f' = compose(h, f) for some h in Stab(m)
+    (h = compose(f', f^-1)): the classes are the cosets {compose(h, f) : h in
+    Stab(m)}.  Each automorphism not yet in a class starts one and marks its
+    coset through a payload lookup.  The dihedral families are not closed
+    under compose, so there every twist is compared with the first twists
+    of the earlier classes.
+    """
+    if m.algebra.kind == DIHEDRAL:
+        reps, firsts = [], []
+        for i, f in enumerate(autos):
+            tw = twist(m, f)
+            if not any(same(r, tw) for r in reps):
+                reps.append(tw)
+                firsts.append(i)
+        return firsts
+    stab = [h for h in _profile_survivors(_profiles(m, m), autos) if same(m, twist(m, autos[h]))]
+    if len(stab) == len(autos):
+        return [0]
+    a, payloads = autos.algebra, autos.payloads
+    index = {row: i for i, row in enumerate(map(tuple, payloads.reshape(len(autos), -1).tolist()))}
+    members = payloads[stab] if a.kind == RSZ else [autos[h] for h in stab]
+    in_class = np.zeros(len(autos), dtype=bool)
+    firsts = []
+    for i in range(len(autos)):
+        if in_class[i]:
+            continue
+        firsts.append(i)
+        if a.kind == RSZ:
+            # compose(h, f) has the mixing matrix F H
+            coset = _mul_arrays(payloads[i], members, a.p)
+        else:
+            coset = np.array([compose(h, autos[i]).payload for h in members])
+        in_class[[index[tuple(row)] for row in coset.reshape(len(stab), -1).tolist()]] = True
+    return firsts
 
 
 def rt_isomorphic(
     m1: Module, m2: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> EquivVerdict:
     """Yes iff the restrictions to every maximal proper subalgebra are
-    twisted-isomorphic (over the subalgebra's automorphisms)."""
+    twisted-isomorphic (over the subalgebra's automorphisms).
+
+    Twisting by the identity changes nothing, so isomorphic restrictions at
+    W are twisted-isomorphic there: when their rank profiles agree and
+    is_isomorphic says Yes, W passes without a twist scan.  Any other W runs
+    t_isomorphic's scan.  Where is_isomorphic says Yes, the identity would
+    have been a Yes of that scan too, and a scan never stops the quantifier
+    on a Yes, so the verdict, checked count, witness and note are those of
+    a scan at every W.  Each restriction's rank profile is computed once.
+    """
     _same_algebra(m1, m2)
-    return _every_subalgebra(
-        m1,
-        "maximal",
-        lambda s: t_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
-        Verdict.NO,
-        "restrictions not twist-equivalent",
-    )
+
+    def decide(s) -> IsoResult | EquivVerdict:
+        r1, r2 = restrict(m1, s), restrict(m2, s)
+        profiles = _profiles(r1, r2)
+        if profiles is None or np.array_equal(profiles[1], profiles[2]):
+            res = is_isomorphic(r1, r2, budget, seed)
+            if res.verdict.is_yes:
+                return res
+        return _twist_scan(r1, r2, profiles, budget, seed)
+
+    return _every_subalgebra(m1, "maximal", decide, Verdict.NO, "restrictions not twist-equivalent")

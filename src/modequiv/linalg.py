@@ -66,6 +66,18 @@ def _mul_arrays(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _power_arrays(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """a^k mod p for a (..., n, n) stack of residues, by repeated squaring."""
+    out = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+    while k > 0:
+        if k & 1:
+            out = _mul_arrays(out, a, p)
+        k >>= 1
+        if k:
+            a = _mul_arrays(a, a, p)
+    return out
+
+
 class Mat:
     """Immutable dense matrix over F_p."""
 
@@ -195,14 +207,7 @@ class Mat:
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise NotSquare("power of a non-square matrix")
-        out = np.eye(self.rows, dtype=np.int64)
-        base = self.a.copy()
-        while k > 0:
-            if k & 1:
-                out = _mul_arrays(out, base, self.p)
-            base = _mul_arrays(base, base, self.p)
-            k >>= 1
-        return Mat(self.p, out)
+        return Mat(self.p, _power_arrays(self.a, k, self.p))
 
     # -- elimination-backed queries ---------------------------------------
     def rank(self) -> int:

@@ -47,8 +47,10 @@ from .errors import (
 from .linalg import (
     Mat,
     _batch_invertible,
+    _batch_rank,
     _mul_arrays,
     _nullspace,
+    _power_arrays,
     _rank,
     _rref,
     _solve,
@@ -476,17 +478,13 @@ class IndecResult:
     note: str = ""
 
 
-def _fitting_idempotent(e: np.ndarray, p: int) -> Mat | None:
-    """The projection onto the image of e^n along its kernel (Fitting's
-    splitting map), e an n x n residue array, or None when that kernel is
-    0 or everything.  With U = [kernel basis | image basis] it is
+def _fitting_idempotent(power: np.ndarray, p: int) -> Mat:
+    """The projection onto the image of power = e^n along its kernel
+    (Fitting's splitting map) for an n x n residue array of rank strictly
+    between 0 and n.  With U = [kernel basis | image basis] it is
     U diag(0, I) U^-1: the image columns of U times the matching rows of U^-1."""
-    n = e.shape[0]
-    power = Mat(p, e).power(n).a
     ker = _nullspace(power, p)
     k = len(ker)
-    if k in (0, n):
-        return None
     red, pivots = _rref(power.T, p)
     u = Mat(p, np.concatenate([ker.T, red[: len(pivots)].T], axis=1))
     return Mat(p, _mul_arrays(u.a[:, k:], u.inverse().a[k:], p))
@@ -495,7 +493,8 @@ def _fitting_idempotent(e: np.ndarray, p: int) -> Mat | None:
 def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
     """Decide indecomposability via idempotents of the endomorphism algebra.
 
-    A Fitting pre-pass on the End basis cheaply certifies decomposability.
+    A Fitting pre-pass on the End basis (one batched power e^n and one
+    batched rank) cheaply certifies decomposability.
     Otherwise E = End(m), of dimension d, is searched modulo its square-zero
     ideal N of dimension k (_square_zero_ideal): the p^(d - k) classes of
     E/N, which is what the budget counts, are enumerated for idempotents,
@@ -513,11 +512,13 @@ def is_indecomposable(m: Module, budget: int = DEFAULT_BUDGET) -> IndecResult:
         return IndecResult(Verdict.YES, note="dimension 1")
     p = m.algebra.p
     end = hom_space(m, m)
-    for e in end.basis:
-        idem = _fitting_idempotent(e, p)
-        if idem is not None and idem @ idem == idem and _intertwines(m, m, idem):
-            if not idem.is_zero():
-                return IndecResult(Verdict.NO, idempotent=idem, note="fitting split")
+    # e^n for every basis element e in one batch; e splits M iff 0 < rank < n
+    powers = _power_arrays(end.basis, n, p)
+    ranks = _batch_rank(powers, p)
+    for power in powers[(ranks > 0) & (ranks < n)]:
+        idem = _fitting_idempotent(power, p)
+        if idem @ idem == idem and _intertwines(m, m, idem) and not idem.is_zero():
+            return IndecResult(Verdict.NO, idempotent=idem, note="fitting split")
     d = end.dim
     ideal = _square_zero_ideal(end.basis, m.actions, p)
     q = d - len(ideal)

@@ -23,7 +23,7 @@ from modequiv.equiv import (
     verify_twisted_witness,
 )
 from modequiv.errors import UnsupportedAlgebraKind
-from modequiv.families import INFINITY, c2, fixture, jordan, k_module
+from modequiv.families import INFINITY, band_module, c2, c3, fixture, jordan, k_module
 from modequiv.linalg import Mat, rand_invertible
 from modequiv.modrep import (
     Verdict,
@@ -485,12 +485,21 @@ def _reference_closure(m, mods):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_orbit_closure_matches_unfiltered_closure(p):
+    """The stabiliser-coset closure against comparing every twist: rsz
+    (batched cosets), k[X] and table (composed cosets) and dihedral (the
+    comparison loop, as the families are not closed under compose)."""
     rng = np.random.default_rng(31 + p)
     alg = make_rsz_algebra(2, p)
     families = [
         [k_module(lam, 2, p) for lam in range(p)] + [k_module(INFINITY, 2, p)],
         [_random_rsz_module(alg, 1, 2, rng) for _ in range(3)],
+        [k_module(lam, 1, p) for lam in range(p)] + [k_module(INFINITY, 1, p)],
+        [jordan(lam, 2, p) for lam in range(p)],
+        fixture("semidih2", p)[1],
+        fixture("band4", p)[1] + [band_module(p - 1, p)],
     ]
+    if p == 2:
+        families += [fixture("rdist4", p)[1], fixture("rdec4", p)[1]]
     for fam in families:
         res = t_orbit(fam[0], fam[1:])
         reps, matched = _reference_closure(fam[0], fam)
@@ -542,6 +551,10 @@ def test_rt_isomorphic_tame_and_wild_pairs():
     assert rt_isomorphic(m1, m2).verdict.is_yes
     _, (w1, w2) = fixture("wild6", 2)
     assert rt_isomorphic(w1, w2).verdict.is_yes
+    # isomorphic restrictions decide every plane without GL(2,37), which
+    # exceeds the budget
+    _, (w1, w2) = fixture("wild6", 37)
+    assert rt_isomorphic(w1, w2).verdict.is_yes
 
 
 def test_rt_isomorphic_dimension_mismatch():
@@ -553,6 +566,65 @@ def test_rt_isomorphic_dimension_mismatch():
 def test_riso_implies_rtiso_on_fixture():
     _, (m1, m2) = fixture("rnott6", 2)
     assert rt_isomorphic(m1, m2).verdict.is_yes
+
+
+def _reference_rt_isomorphic(m1, m2):
+    """rt_isomorphic with the twist scan of t_isomorphic at every plane."""
+    return equiv._every_subalgebra(
+        m1,
+        "maximal",
+        lambda s: t_isomorphic(restrict(m1, s), restrict(m2, s)),
+        Verdict.NO,
+        "restrictions not twist-equivalent",
+    )
+
+
+def _rt_summary(res):
+    return res.verdict, res.checked, res.note, None if res.witness is None else res.witness[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["tame3", "wild6", "rnott6", "rdist4"])
+def test_rt_isomorphic_matches_twist_scan_at_every_plane(name, p):
+    _, (m1, m2) = fixture(name, p)
+    assert _rt_summary(rt_isomorphic(m1, m2)) == _rt_summary(_reference_rt_isomorphic(m1, m2))
+
+
+def _lifted_pencil_pair():
+    """K(0,1)+K(1,2) and K(0,2)+K(1,1) at p = 3, with Z acting as 0."""
+    alg = make_rsz_algebra(3, 3)
+
+    def lift(m):
+        return module_validate(alg, [*m.action, Mat.zeros(m.dim, m.dim, 3)])
+
+    return (
+        lift(direct_sum(k_module(0, 1, 3), k_module(1, 2, 3))),
+        lift(direct_sum(k_module(0, 2, 3), k_module(1, 1, 3))),
+    )
+
+
+# pairs whose restrictions at `plane` are not isomorphic but twisted-isomorphic:
+# c3 at plane 2 (with unequal rank profiles; plane 3 fails even up to twist),
+# the lifted pencils at plane 0 (with equal rank profiles; a twist exchanging
+# the pencil points 0 and 1 carries one to the other)
+FALLBACK_CASES = {
+    "c3": (lambda: (c3(1, 1, 1, 3), c3(2, 2, 1, 3)), 2, False, Verdict.NO, 4),
+    "lifted-pencils": (_lifted_pencil_pair, 0, True, Verdict.YES, 13),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_rt_isomorphic_falls_back_to_the_twist_scan(case):
+    pair, plane, equal_profiles, verdict, checked = FALLBACK_CASES[case]
+    m1, m2 = pair()
+    s = enumerate_proper_subalgebras(m1.algebra, "maximal")[plane]
+    r1, r2 = restrict(m1, s), restrict(m2, s)
+    _, prof1, prof2 = equiv._profiles(r1, r2)
+    assert np.array_equal(prof1, prof2) == equal_profiles
+    assert is_isomorphic(r1, r2).verdict.is_no and t_isomorphic(r1, r2).verdict.is_yes
+    got = rt_isomorphic(m1, m2)
+    assert _rt_summary(got) == _rt_summary(_reference_rt_isomorphic(m1, m2))
+    assert (got.verdict, got.checked) == (verdict, checked)
 
 
 # -- independence of the two relations -------------------------------------------
