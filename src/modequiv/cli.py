@@ -127,7 +127,7 @@ def cmd_check(args) -> int:
 
 
 def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
-    budget, seed = args.budget, args.seed
+    budget = args.budget
 
     def need(count: int):
         if len(mods) != count:
@@ -135,7 +135,7 @@ def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
 
     if kind == "iso":
         need(2)
-        res = is_isomorphic(mods[0], mods[1], budget, seed)
+        res = is_isomorphic(mods[0], mods[1], budget)
         payload = {"verdict": res.verdict.value, "note": res.note}
         if res.witness is not None:
             payload["witness"] = res.witness.to_lists()
@@ -162,27 +162,27 @@ def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
     if kind in ("riso", "rdistinct", "rtiso"):
         need(2)
         if kind == "riso":
-            res = r_isomorphic(mods[0], mods[1], args.scope, budget, seed)
+            res = r_isomorphic(mods[0], mods[1], args.scope, budget)
         elif kind == "rdistinct":
-            res = r_distinct(mods[0], mods[1], args.scope, budget, seed)
+            res = r_distinct(mods[0], mods[1], args.scope, budget)
         else:
-            res = rt_isomorphic(mods[0], mods[1], budget, seed)
+            res = rt_isomorphic(mods[0], mods[1], budget)
         _emit(_equiv_payload(res), structured)
         return _verdict_exit(res.verdict)
     if kind == "rdecomp":
         need(1)
-        res = r_decomposable(mods[0], budget, seed)
+        res = r_decomposable(mods[0], budget)
         _emit(_equiv_payload(res), structured)
         return _verdict_exit(res.verdict)
     if kind == "tiso":
         need(2)
-        res = t_isomorphic(mods[0], mods[1], budget, seed)
+        res = t_isomorphic(mods[0], mods[1], budget)
         _emit(_equiv_payload(res), structured)
         return _verdict_exit(res.verdict)
     if kind == "torbit":
         if len(mods) < 1:
             raise SchemaError("torbit needs at least one module input")
-        res = t_orbit(mods[0], mods[1:], budget, seed)
+        res = t_orbit(mods[0], mods[1:], budget)
         payload = {
             "verdict": "yes",
             "classes": [list(cls) for cls in res.partition.classes],
@@ -193,7 +193,7 @@ def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
         return EXIT_YES
     if kind == "resfn":
         need(1)
-        part = restriction_function(mods[0], args.scope, budget, seed)
+        part = restriction_function(mods[0], args.scope, budget)
         subs = enumerate_proper_subalgebras(mods[0].algebra, args.scope)
         payload = {
             "verdict": "yes",
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--field", type=int, default=2, help="prime field for fixture refs")
     check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    check.add_argument("--seed", type=int, default=0)
     check.add_argument("--scope", choices=("all", "maximal"), default="maximal")
     check.add_argument("--report", choices=("text", "structured"), default="text")
     check.set_defaults(func=cmd_check)
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the full claim-verification suite")
     verify.add_argument("--fields", type=int, nargs="+", default=[2, 3, 5])
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=int, default=0, help="seeds the algebra-laws corpus only")
     verify.add_argument("--report", choices=("text", "structured"), default="text")
     verify.add_argument(
         "--timing",

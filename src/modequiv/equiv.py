@@ -152,7 +152,6 @@ def r_isomorphic(
     m2: Module,
     scope: str = "all",
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> EquivVerdict:
     """Yes iff the restrictions to every enumerated proper subalgebra in
     scope are isomorphic."""
@@ -160,7 +159,7 @@ def r_isomorphic(
     return _every_subalgebra(
         m1,
         scope,
-        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
+        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget),
         Verdict.NO,
         "restriction differs",
     )
@@ -171,7 +170,6 @@ def r_distinct(
     m2: Module,
     scope: str = "all",
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> EquivVerdict:
     """Yes iff the restrictions are non-isomorphic at every enumerated
     subalgebra in scope."""
@@ -179,15 +177,13 @@ def r_distinct(
     return _every_subalgebra(
         m1,
         scope,
-        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget, seed),
+        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget),
         Verdict.YES,
         "restrictions isomorphic",
     )
 
 
-def r_decomposable(
-    m: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> EquivVerdict:
+def r_decomposable(m: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
     """Yes iff the restriction to every maximal proper subalgebra decomposes."""
     return _every_subalgebra(
         m,
@@ -202,7 +198,6 @@ def restriction_function(
     m: Module,
     scope: str = "all",
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
 ) -> Partition:
     """Partition of the enumerated subalgebras by isomorphism class of the
     restriction of m; labels are s{index} in enumeration order.
@@ -227,7 +222,7 @@ def restriction_function(
     def same(i: int, j: int) -> bool:
         if keys[i] != keys[j]:
             return False
-        res = is_isomorphic(restrictions[i], restrictions[j], budget, seed)
+        res = is_isomorphic(restrictions[i], restrictions[j], budget)
         if res.verdict.is_undecided:
             raise UndecidedError(f"restriction comparison {labels[i]} vs {labels[j]} undecided")
         return res.verdict.is_yes
@@ -299,9 +294,7 @@ def _profile_survivors(profiles: tuple | None, autos: AutomorphismGroup) -> Iter
         start += len(tw)
 
 
-def t_isomorphic(
-    m1: Module, m2: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> EquivVerdict:
+def t_isomorphic(m1: Module, m2: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
     """Yes with witness (f, phi) iff some enumerated automorphism f makes
     m1 isomorphic to twist(m2, f).
 
@@ -313,12 +306,10 @@ def t_isomorphic(
     enumeration order, go through the full witness search.
     """
     _same_algebra(m1, m2)
-    return _twist_scan(m1, m2, _profiles(m1, m2), budget, seed)
+    return _twist_scan(m1, m2, _profiles(m1, m2), budget)
 
 
-def _twist_scan(
-    m1: Module, m2: Module, profiles: tuple | None, budget: int, seed: int
-) -> EquivVerdict:
+def _twist_scan(m1: Module, m2: Module, profiles: tuple | None, budget: int) -> EquivVerdict:
     """t_isomorphic given _profiles(m1, m2).  End(m1) is built only once an
     automorphism survives the profile test."""
     autos = enumerate_automorphisms(m1.algebra, budget)
@@ -331,7 +322,7 @@ def _twist_scan(
         hom = hom_space(m1, twisted)
         if hom.dim != end_dim():
             return IsoResult(Verdict.NO)
-        return _iso_from_hom(m1, twisted, hom, budget, seed)
+        return _iso_from_hom(m1, twisted, hom, budget)
 
     res = _scan(
         ((idx, autos[idx]) for idx in _profile_survivors(profiles, autos)),
@@ -371,7 +362,6 @@ def t_orbit(
     m: Module,
     candidates: Sequence[Module],
     budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
     closure: bool = True,
 ) -> TOrbitResult:
     """Group {m} + candidates by t_isomorphic and check orbit closure.
@@ -398,7 +388,7 @@ def t_orbit(
     witnesses: dict[str, tuple[Automorphism, Mat]] = {}
 
     def same_class(rep: int, i: int) -> bool:
-        res = t_isomorphic(mods[rep], mods[i], budget, seed)
+        res = t_isomorphic(mods[rep], mods[i], budget)
         if res.verdict.is_undecided:
             raise UndecidedError(f"t-comparison {labels[rep]} vs {labels[i]} undecided")
         if res.verdict.is_yes:
@@ -417,7 +407,7 @@ def t_orbit(
             except UnsupportedAlgebraKind:
                 # dihedral witnesses need not invert inside the family;
                 # fall back to a direct comparison
-                if not t_isomorphic(by_label[a], by_label[b], budget, seed).verdict.is_yes:
+                if not t_isomorphic(by_label[a], by_label[b], budget).verdict.is_yes:
                     raise UndecidedError(f"pair {a} vs {b} not re-verified")
                 continue
             if not verify_twisted_witness(by_label[a], by_label[b], h, phib @ phia.inverse()):
@@ -427,7 +417,7 @@ def t_orbit(
         return TOrbitResult(partition)
 
     def same(a: Module, b: Module) -> bool:
-        res = is_isomorphic(a, b, budget, seed)
+        res = is_isomorphic(a, b, budget)
         if res.verdict.is_undecided:
             raise UndecidedError("orbit closure comparison undecided")
         return res.verdict.is_yes
@@ -498,9 +488,7 @@ def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
     return firsts
 
 
-def rt_isomorphic(
-    m1: Module, m2: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> EquivVerdict:
+def rt_isomorphic(m1: Module, m2: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
     """Yes iff the restrictions to every maximal proper subalgebra are
     twisted-isomorphic (over the subalgebra's automorphisms).
 
@@ -518,9 +506,9 @@ def rt_isomorphic(
         r1, r2 = restrict(m1, s), restrict(m2, s)
         profiles = _profiles(r1, r2)
         if profiles is None or np.array_equal(profiles[1], profiles[2]):
-            res = is_isomorphic(r1, r2, budget, seed)
+            res = is_isomorphic(r1, r2, budget)
             if res.verdict.is_yes:
                 return res
-        return _twist_scan(r1, r2, profiles, budget, seed)
+        return _twist_scan(r1, r2, profiles, budget)
 
     return _every_subalgebra(m1, "maximal", decide, Verdict.NO, "restrictions not twist-equivalent")

@@ -6,10 +6,10 @@ layer passes that array along, and Mat appears only where a matrix leaves
 the package (Module.action, witnesses, idempotents).  Hom spaces are
 intertwiner kernels, held as one (k, n2, n1) basis array;
 isomorphism testing searches the Hom space exhaustively within a budget and
-falls back to seeded random sampling that can only answer Yes or Undecided.
-A No is sound by exhaustion or by a Hom-dimension obstruction, checked
-after a one-batch exhaustion and a 256-element seeded random burst (before
-the burst while numpy.random is not loaded), before any larger search.
+falls back to sampling a fixed random stream, which can only answer Yes or
+Undecided.  A No is sound by exhaustion or by a Hom-dimension obstruction,
+checked after the basis, 16 draws and a one-batch exhaustion and before
+the rest of a 256-draw burst and any larger search, in every process alike.
 Indecomposability searches End(M) for idempotents modulo a square-zero ideal,
 through the structure constants, and lifts each one by a linear solve.
 """
@@ -17,7 +17,7 @@ through the structure constants, and lifts each one by a linear solve.
 from __future__ import annotations
 
 import functools
-import sys
+import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -55,6 +55,7 @@ from .linalg import (
     _rref,
     _solve,
     lex_blocks,
+    lex_rows,
     tensor_combine,
 )
 
@@ -245,33 +246,6 @@ class IsoResult:
 # -- invertible element search in a matrix span -----------------------------
 
 
-def _chunked_combos(basis: np.ndarray, p: int):
-    """Yield (count, combos) per prefix of lex_blocks, in lexicographic
-    order: combos(start, stop) gives the combinations of `basis` for suffixes
-    start:stop after that prefix, so together they enumerate every
-    coefficient vector in order.  A single prefix combines only the slices
-    asked for; with more, the suffix combinations are computed once and
-    shifted by each prefix.  Where p > 4096 leaves no suffix, each prefix of
-    d - 1 coordinates takes base + t E_last for t in [0, p): exact in int64,
-    since t and every entry are below 2^31."""
-    d = basis.shape[0]
-    suffixes, prefixes = lex_blocks(d, p)
-    hi = d - suffixes.shape[1]
-    if hi == d:
-        _, prefixes = lex_blocks(d - 1, p)
-        for prefix in prefixes:
-            base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:-1], p)
-            yield p, lambda a, b: (base + np.arange(a, b)[:, None, None] * basis[-1]) % p
-        return
-    if not hi:
-        yield len(suffixes), lambda a, b: tensor_combine(suffixes[a:b], basis, p)
-        return
-    table = tensor_combine(suffixes, basis[hi:], p)
-    for prefix in prefixes:
-        base = tensor_combine(np.array(prefix, dtype=np.int64), basis[:hi], p)
-        yield len(table), lambda a, b: (base + table[a:b]) % p
-
-
 def _spans_identity(flat: np.ndarray, n: int, p: int) -> bool:
     """Whether the n x n identity is sum_i I[f_i] row_i, f_i the last nonzero
     position of row i.
@@ -290,28 +264,29 @@ def _find_invertible(
     stack: np.ndarray,
     p: int,
     budget: int,
-    seed: int,
     obstructed: Callable[[], bool] | None = None,
 ) -> tuple[str, Mat | None, int]:
     """Search the span of a (d, n, n) stack for an invertible matrix,
-    cheapest evidence first.
+    cheapest evidence first, in one fixed order.
 
     Returns ("yes", witness, searched), ("no", None, searched) with the span
     fully enumerated, ("obstructed", None, 0) when the zero-argument
     callable `obstructed` certifies that no invertible element exists, or
-    ("undecided", None, searched).  The order is: the identity, the basis
-    elements, a one-batch exhaustion of a span of at most 4096 elements,
-    a seeded burst of 256 random elements, the certificate, exhaustion
-    within the budget, then RANDOM_TRIALS more random elements; in a process
-    that has not loaded numpy.random yet, the certificate comes before the
-    burst.  The random stream does not depend on the certificate, and a span
-    the certificate obstructs has no invertible element for the burst to
-    find, so the order changes no result.
+    ("undecided", None, searched).  The order is: the identity; one batch of
+    the basis elements, followed, when the span is not exhausted in one
+    batch, by the first _FIRST_SLICE random draws; the one-batch exhaustion
+    of a span of at most 4096 elements within the budget; the certificate;
+    the rest of the _QUICK_RANDOM-draw burst; exhaustion within the budget;
+    RANDOM_TRIALS more draws.  The draws are coefficient vectors from the
+    fixed stream random.Random(0), each coordinate eight random bytes read
+    as a little-endian integer mod p, so witness and count are the same in
+    every process.
 
     Candidates are checked in slices that grow from _FIRST_SLICE by x4 up to
     _SLICE_CAP across the whole search, in enumeration order, so a Yes
     found early checks only a few; the witness is the first invertible
-    candidate in that order, and searched the number of candidates checked.
+    candidate in that order, and searched the number of candidates checked
+    (0 for a basis element, _FIRST_SLICE for one of the first draws).
     """
     d, n, _ = stack.shape
     if d == 0:
@@ -321,23 +296,19 @@ def _find_invertible(
     if _spans_identity(stack.reshape(d, n * n), n, p):
         return "yes", Mat.identity(n, p), 0
 
-    hit = np.nonzero(_batch_invertible(stack, p))[0]
-    if hit.size:
-        return "yes", Mat(p, stack[int(hit[0])]), 0
-
+    total = p**d
     searched = 0
     size = _FIRST_SLICE
-    total = p**d
 
-    def first_invertible(count: int, combos) -> Mat | None:
-        """The first invertible of the count candidates combos(start, stop)
-        enumerates, checked slice by slice."""
+    def first_invertible(coeffs: np.ndarray) -> Mat | None:
+        """The first invertible combination of the stack by a row of coeffs,
+        checked slice by slice."""
         nonlocal searched, size
         start = 0
-        while start < count:
-            part = combos(start, min(start + size, count))
-            start += part.shape[0]
-            searched += part.shape[0]
+        while start < len(coeffs):
+            part = tensor_combine(coeffs[start : start + size], stack, p)
+            start += len(part)
+            searched += len(part)
             size = min(4 * size, _SLICE_CAP)
             hit = np.nonzero(_batch_invertible(part, p))[0]
             if hit.size:
@@ -345,52 +316,40 @@ def _find_invertible(
         return None
 
     def exhaustive() -> tuple[str, Mat | None, int]:
-        for count, combos in _chunked_combos(stack, p):
-            witness = first_invertible(count, combos)
+        for coeffs in lex_rows(d, p, _SLICE_CAP):
+            witness = first_invertible(coeffs)
             if witness is not None:
                 return "yes", witness, searched
         return "no", None, total
 
-    if total <= min(4096, budget):
+    if total <= min(_SLICE_CAP, budget):
+        hit = np.nonzero(_batch_invertible(stack, p))[0]
+        if hit.size:
+            return "yes", Mat(p, stack[int(hit[0])]), 0
         return exhaustive()
+    stream = random.Random(0)
 
-    def certified_no() -> bool:
-        return obstructed is not None and obstructed()
+    def draws(count: int) -> np.ndarray:
+        raw = np.frombuffer(stream.randbytes(8 * count * d), dtype="<u8")
+        return (raw % p).astype(np.int64).reshape(count, d)
 
-    # the burst is cheaper than the certificate's three Hom spaces, but the
-    # first import of numpy.random adds about 6 MB of resident memory, which
-    # a span the certificate obstructs never needs: until some search has
-    # loaded it, the certificate goes first.  Both orders give the same
-    # result, since an obstructed span has no invertible element to find.
-    burst_first = "numpy.random" in sys.modules
-    if not burst_first and certified_no():
+    # the basis and the first draws go to the kernel in one call
+    first = np.concatenate([stack, tensor_combine(draws(_FIRST_SLICE), stack, p)])
+    hit = np.nonzero(_batch_invertible(first, p))[0]
+    if hit.size:
+        return "yes", Mat(p, first[int(hit[0])]), 0 if hit[0] < d else _FIRST_SLICE
+    if obstructed is not None and obstructed():
         return "obstructed", None, 0
-
-    rng = np.random.default_rng(seed)
-
-    def random_burst(trials: int) -> Mat | None:
-        done = 0
-        while done < trials:
-            take = min(1024, trials - done)
-            coeffs = rng.integers(0, p, size=(take, d), dtype=np.int64)
-            done += take
-            witness = first_invertible(take, lambda a, b: tensor_combine(coeffs[a:b], stack, p))
-            if witness is not None:
-                return witness
-        return None
-
-    witness = random_burst(_QUICK_RANDOM)
+    searched, size = _FIRST_SLICE, 4 * _FIRST_SLICE
+    witness = first_invertible(draws(_QUICK_RANDOM - _FIRST_SLICE))
     if witness is not None:
         return "yes", witness, searched
-    if burst_first and certified_no():
-        return "obstructed", None, 0
-
     if total <= budget:
         return exhaustive()
-
-    witness = random_burst(RANDOM_TRIALS)
-    if witness is not None:
-        return "yes", witness, searched
+    for start in range(0, RANDOM_TRIALS, 1024):
+        witness = first_invertible(draws(min(1024, RANDOM_TRIALS - start)))
+        if witness is not None:
+            return "yes", witness, searched
     return "undecided", None, searched
 
 
@@ -404,17 +363,15 @@ def _hom_dims_differ(m1: Module, m2: Module, d: int) -> bool:
 
 
 def _iso_from_hom(
-    m1: Module, m2: Module, hom: HomBasis, budget: int, seed: int, certify: bool = False
+    m1: Module, m2: Module, hom: HomBasis, budget: int, certify: bool = False
 ) -> IsoResult:
     """Search hom for an isomorphism; with `certify`, a span too large for one
-    batch is checked for a Hom-dimension obstruction once the seeded burst
-    has found no witness."""
+    batch is checked for a Hom-dimension obstruction once the basis and the
+    first draws have found no witness."""
     if m1.dim == 0:
         return IsoResult(Verdict.YES, witness=Mat.zeros(0, 0, m1.algebra.p), note="empty module")
     obstructed = (lambda: _hom_dims_differ(m1, m2, hom.dim)) if certify else None
-    status, witness, searched = _find_invertible(
-        hom.basis, m1.algebra.p, budget, seed, obstructed
-    )
+    status, witness, searched = _find_invertible(hom.basis, m1.algebra.p, budget, obstructed)
     if status == "yes":
         _verify_intertwiner(m1, m2, witness)
         return IsoResult(Verdict.YES, witness=witness, hom_dim=hom.dim, searched=searched)
@@ -432,25 +389,23 @@ def _iso_from_hom(
     )
 
 
-def is_isomorphic(
-    m1: Module, m2: Module, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> IsoResult:
+def is_isomorphic(m1: Module, m2: Module, budget: int = DEFAULT_BUDGET) -> IsoResult:
     """Decide module isomorphism.
 
     No is certain: the dimensions differ, the whole intertwiner space was
     enumerated without finding an invertible element, or dim Hom(m1, m2),
     dim Hom(m2, m1), dim End(m1) and dim End(m2) are not all equal (checked
-    once the space is larger than one batch of 4096, after a seeded burst of
-    256 random elements has found no witness, or before the burst while
-    numpy.random is not loaded; either way before any larger search).
-    When the space exceeds the budget, seeded random sampling can still find
-    a witness; otherwise the verdict is Undecided.
+    once the space is larger than one batch of 4096, after the basis and the
+    first 16 random draws and before the other 240 draws of the burst or any
+    larger search).  When the space exceeds the budget, sampling the fixed
+    random stream can still find a witness; otherwise the verdict is
+    Undecided.  The order and the stream are the same in every process.
     """
     if m1.algebra != m2.algebra:
         raise AlgebraMismatch("isomorphism test for modules over different algebras")
     if m1.dim != m2.dim:
         return IsoResult(Verdict.NO, note="dimension mismatch")
-    return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, seed, certify=True)
+    return _iso_from_hom(m1, m2, hom_space(m1, m2), budget, certify=True)
 
 
 def _intertwines(m1: Module, m2: Module, phi: Mat) -> bool:
@@ -669,9 +624,9 @@ def _quotient_idempotents(gamma: np.ndarray, p: int):
     prefix's linear term lo terms below p^2 (< 2^28), and their sum with a
     residue stays below 2^53 in absolute value, so every float is an exact
     integer.  With lo = 0 (p > 4096) the float terms are residues below
-    2^31, and each block holds one candidate: unlike _chunked_combos, no
-    range of the last coordinate is taken, since the bound needs suffix
-    digits below 4096.  The prefix terms go through tensor_combine, which is
+    2^31, and each block holds one candidate: unlike lex_rows, no range of
+    the last coordinate is taken, since the bound needs suffix digits below
+    4096.  The prefix terms go through tensor_combine, which is
     exact at every p.
     """
     q = len(gamma)
@@ -732,7 +687,8 @@ def _decompose_with_basis(m: Module, budget: int) -> tuple[list[Module], Mat]:
 def decompose(m: Module, budget: int = DEFAULT_BUDGET) -> list[Module]:
     """Indecomposable summands, found by splitting along idempotents.
 
-    The reassembly is verified: the collected part bases form an invertible
+    Each part is returned only after is_indecomposable said Yes for it.  The
+    reassembly is verified: the collected part bases form an invertible
     base change carrying m onto the direct sum of the parts.
     """
     if m.dim == 0:
@@ -745,9 +701,6 @@ def decompose(m: Module, budget: int = DEFAULT_BUDGET) -> list[Module]:
         or not _intertwines(total, m, basis)
     ):
         raise RelationViolated("decomposition does not reassemble")
-    for part in parts:
-        if not is_indecomposable(part, budget).verdict.is_yes:
-            raise RelationViolated("decomposition produced a decomposable part")
     return parts
 
 

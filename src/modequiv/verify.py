@@ -136,10 +136,10 @@ def _claim_tame_pair(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("tame3", p)
     if (socle_dim(m1), socle_dim(m2)) != (1, 2):
         raise ClaimFailure(f"socle dims {(socle_dim(m1), socle_dim(m2))} != (1, 2)")
-    iso = is_isomorphic(m1, m2, cfg.budget, cfg.seed)
+    iso = is_isomorphic(m1, m2, cfg.budget)
     if not iso.verdict.is_no:
         raise ClaimFailure(f"expected non-isomorphic pair, got {iso.verdict.value}")
-    riso = r_isomorphic(m1, m2, "all", cfg.budget, cfg.seed)
+    riso = r_isomorphic(m1, m2, "all", cfg.budget)
     if not riso.verdict.is_yes:
         raise ClaimFailure(f"restriction-isomorphism verdict {riso.verdict.value}")
     if riso.checked != p + 2:
@@ -158,12 +158,12 @@ def _claim_tame_pair(cfg: RunConfig, p: int) -> str:
 
 def _claim_wild_pair(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("wild6", p)
-    iso = is_isomorphic(m1, m2, cfg.budget, cfg.seed)
+    iso = is_isomorphic(m1, m2, cfg.budget)
     if iso.verdict.is_undecided:
         raise UndecidedError(f"plain isomorphism undecided: {iso.note}")
     if not iso.verdict.is_no:
         raise ClaimFailure("expected non-isomorphic pair")
-    riso = r_isomorphic(m1, m2, "all", cfg.budget, cfg.seed)
+    riso = r_isomorphic(m1, m2, "all", cfg.budget)
     if not riso.verdict.is_yes:
         raise ClaimFailure(f"restriction-isomorphism verdict {riso.verdict.value}")
     expected = sum(1 for _ in enumerate_proper_subalgebras(m1.algebra, "all"))
@@ -182,7 +182,7 @@ def _claim_indec_rdec(cfg: RunConfig, p: int) -> str:
     maximal = enumerate_proper_subalgebras(m.algebra, "maximal")
     if len(maximal) != p * p + p + 1:
         raise ClaimFailure(f"expected {p * p + p + 1} maximal subalgebras, saw {len(maximal)}")
-    rdec = r_decomposable(m, cfg.budget, cfg.seed)
+    rdec = r_decomposable(m, cfg.budget)
     if rdec.verdict.is_undecided:
         raise UndecidedError(rdec.note)
     if not rdec.verdict.is_yes:
@@ -196,13 +196,13 @@ def _claim_indec_rdec(cfg: RunConfig, p: int) -> str:
 
 def _claim_r_distinct(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("rdist4", p)
-    rmax = r_distinct(m1, m2, "maximal", cfg.budget, cfg.seed)
+    rmax = r_distinct(m1, m2, "maximal", cfg.budget)
     if rmax.verdict.is_undecided:
         raise UndecidedError("maximal-scope comparison undecided")
     if not rmax.verdict.is_yes:
         _, s, _ = rmax.witness
         raise ClaimFailure(f"restrictions isomorphic at {s.label()}")
-    rall = r_distinct(m1, m2, "all", cfg.budget, cfg.seed)
+    rall = r_distinct(m1, m2, "all", cfg.budget)
     if not rall.verdict.is_no:
         raise ClaimFailure(f"scope=all verdict {rall.verdict.value}, expected no at W=0")
     _, s, _ = rall.witness
@@ -216,12 +216,12 @@ def _claim_r_distinct(cfg: RunConfig, p: int) -> str:
 
 def _claim_riso_not_tiso(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("rnott6", p)
-    riso = r_isomorphic(m1, m2, "all", cfg.budget, cfg.seed)
+    riso = r_isomorphic(m1, m2, "all", cfg.budget)
     if riso.verdict.is_undecided:
         raise UndecidedError("restriction comparison undecided")
     if not riso.verdict.is_yes:
         raise ClaimFailure(f"R-isomorphism verdict {riso.verdict.value}")
-    tiso = t_isomorphic(m1, m2, cfg.budget, cfg.seed)
+    tiso = t_isomorphic(m1, m2, cfg.budget)
     if tiso.verdict.is_undecided:
         raise UndecidedError("twist comparison undecided")
     if not tiso.verdict.is_no:
@@ -236,7 +236,7 @@ def _claim_jordan_orbit(cfg: RunConfig, p: int) -> str:
     details = []
     for n in (1, 2, 3):
         fam = [jordan(lam, n, p) for lam in range(p)]
-        res = t_orbit(fam[0], fam[1:], cfg.budget, cfg.seed)
+        res = t_orbit(fam[0], fam[1:], cfg.budget)
         if len(res.partition) != 1:
             raise ClaimFailure(f"n={n}: {len(res.partition)} twist classes, expected 1")
         if not res.closed:
@@ -253,15 +253,15 @@ def _claim_two_generator_orbit(cfg: RunConfig, p: int) -> str:
     )
     for n in (1, 2):
         fam = [k_module(lam, n, p) for lam in range(p)] + [k_module(INFINITY, n, p)]
-        res = t_orbit(fam[0], fam[1:], cfg.budget, cfg.seed)
+        res = t_orbit(fam[0], fam[1:], cfg.budget)
         if len(res.partition) != 1:
             raise ClaimFailure(f"n={n}: {len(res.partition)} twist classes, expected 1")
-        sw = is_isomorphic(k_module(0, n, p), twist(k_module(INFINITY, n, p), swap), cfg.budget, cfg.seed)
+        sw = is_isomorphic(k_module(0, n, p), twist(k_module(INFINITY, n, p), swap), cfg.budget)
         if not sw.verdict.is_yes:
             raise ClaimFailure(f"n={n}: swap does not carry the infinity member to lambda=0")
         details.append(f"n={n}: {len(fam)} members in one class (closure: {res.closed})")
     _, (m1, m2) = fixture("tame3", p)
-    res = t_orbit(m1, [m2], cfg.budget, cfg.seed, closure=False)
+    res = t_orbit(m1, [m2], cfg.budget, closure=False)
     if len(res.partition) != 2:
         raise ClaimFailure("tame dim-3 modules fell into one twist class")
     details.append("tame dim-3 pair: twist classes = iso classes (2)")
@@ -275,7 +275,7 @@ def _claim_band_scaling(cfg: RunConfig, p: int) -> str:
         for a in range(1, p):
             f = autos[(False, a)]
             target = band_module((a * a * lam) % p, p)
-            res = is_isomorphic(twist(band_module(lam, p), f), target, cfg.budget, cfg.seed)
+            res = is_isomorphic(twist(band_module(lam, p), f), target, cfg.budget)
             if not res.verdict.is_yes:
                 raise ClaimFailure(f"twist by Y->{a}Y of B({lam}) is not B({a * a * lam % p})")
     base = band_module(1, p)
@@ -309,13 +309,13 @@ def _claim_semidihedral(cfg: RunConfig, p: int) -> str:
         if not ind.verdict.is_yes:
             raise ClaimFailure("family member decomposes")
     for i, j in itertools.combinations(range(len(family)), 2):
-        res = is_isomorphic(family[i], family[j], cfg.budget, cfg.seed)
+        res = is_isomorphic(family[i], family[j], cfg.budget)
         if res.verdict.is_undecided:
             raise UndecidedError(res.note)
         if not res.verdict.is_no:
             raise ClaimFailure(f"family members {i} and {j} are isomorphic")
     _, (m1, m2) = fixture("semidih2", p)
-    tiso = t_isomorphic(m1, m2, cfg.budget, cfg.seed)
+    tiso = t_isomorphic(m1, m2, cfg.budget)
     if tiso.verdict.is_undecided:
         raise UndecidedError("twist comparison undecided")
     if not tiso.verdict.is_no:
@@ -340,14 +340,14 @@ def _claim_c_families(cfg: RunConfig, p: int) -> str:
                 Mat.basis(2, 2, 1, p, value=b),
             ],
         )
-        res = t_isomorphic(m, base, cfg.budget, cfg.seed)
+        res = t_isomorphic(m, base, cfg.budget)
         if res.verdict.is_undecided:
             raise UndecidedError(f"c2({a},{b}) comparison undecided")
         if not res.verdict.is_yes:
             raise ClaimFailure(f"c2({a},{b}) is not twist-isomorphic to the basepoint")
     triples = list(itertools.product(range(1, p), repeat=3))
     mods = [c3(a, b, g, p) for a, b, g in triples]
-    res = t_orbit(mods[0], mods[1:], cfg.budget, cfg.seed, closure=False)
+    res = t_orbit(mods[0], mods[1:], cfg.budget, closure=False)
     if len(res.partition) != 1:
         classes = [
             "{" + ", ".join(str(triples[int(l[1:])]) for l in cls) + "}"
@@ -412,15 +412,15 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
             trials += 1
             continue
         pmat = rand_invertible(m.dim, p, rng)
-        if not is_isomorphic(m, conjugate(m, pmat), cfg.budget, cfg.seed).verdict.is_yes:
+        if not is_isomorphic(m, conjugate(m, pmat), cfg.budget).verdict.is_yes:
             raise ClaimFailure(f"conjugate of {m!r} not recognized as isomorphic")
         trials += 1
     for m in groups[make_rsz_algebra(2, p)][:2]:
         pmat = rand_invertible(m.dim, p, rng)
         conj = conjugate(m, pmat)
-        if not r_isomorphic(m, conj, "all", cfg.budget, cfg.seed).verdict.is_yes:
+        if not r_isomorphic(m, conj, "all", cfg.budget).verdict.is_yes:
             raise ClaimFailure("restriction relation is finer than isomorphism")
-        if not t_isomorphic(m, conj, cfg.budget, cfg.seed).verdict.is_yes:
+        if not t_isomorphic(m, conj, cfg.budget).verdict.is_yes:
             raise ClaimFailure("twist relation is finer than isomorphism")
 
     # twist laws over enumerated automorphism pairs: exhaustive when the pair
@@ -488,7 +488,7 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
     total = parts[0]
     for part in parts[1:]:
         total = direct_sum(total, part)
-    if not is_isomorphic(direct_sum(sample, sample), total, cfg.budget, cfg.seed).verdict.is_yes:
+    if not is_isomorphic(direct_sum(sample, sample), total, cfg.budget).verdict.is_yes:
         raise ClaimFailure("decomposition does not reassemble up to isomorphism")
 
     # restriction is independent of the basis chosen for W
@@ -503,8 +503,8 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
         rebased = Subalgebra.from_basis(alg, change @ s.w_basis)
         m1 = group[int(rng.integers(0, len(group)))]
         m2 = group[int(rng.integers(0, len(group)))]
-        v1 = is_isomorphic(restrict(m1, s), restrict(m2, s), cfg.budget, cfg.seed).verdict
-        v2 = is_isomorphic(restrict(m1, rebased), restrict(m2, rebased), cfg.budget, cfg.seed).verdict
+        v1 = is_isomorphic(restrict(m1, s), restrict(m2, s), cfg.budget).verdict
+        v2 = is_isomorphic(restrict(m1, rebased), restrict(m2, rebased), cfg.budget).verdict
         if v1 != v2:
             raise ClaimFailure(f"restriction verdict depends on the basis of {s.label()}")
         checks += 1

@@ -1,4 +1,8 @@
 import itertools
+import json
+import os
+import random
+import subprocess
 import sys
 
 import numpy as np
@@ -171,7 +175,7 @@ def test_undecided_when_budget_blocks_exhaustion():
     # budget forbids the exhaustive sweep, and random sampling can only say
     # yes or undecided
     m1, m2 = fixture("wild6", 2)[1]
-    res = is_isomorphic(m1, m2, budget=1, seed=0)
+    res = is_isomorphic(m1, m2, budget=1)
     assert res.verdict is Verdict.UNDECIDED
     assert res.searched >= 10**4
     full = is_isomorphic(m1, m2)
@@ -316,23 +320,64 @@ def test_small_span_witness_is_the_first_invertible_element(p, n, d, shared):
     assert ok.any()
     first = int(np.argmax(ok))
     assert first >= p**shared
-    status, witness, searched = _find_invertible(stack, p, 2**20, seed=0)
+    status, witness, searched = _find_invertible(stack, p, 2**20)
     assert status == "yes"
     assert np.array_equal(witness.a, np.tensordot(coeffs[first], stack, axes=1) % p)
     assert searched == min(_slice_end(first), p**d)
 
 
+def _draws(p, d, count):
+    """The first count draws of the search's fixed stream random.Random(0):
+    each coordinate eight bytes, read as a little-endian integer mod p."""
+    raw = np.frombuffer(random.Random(0).randbytes(8 * count * d), dtype="<u8")
+    return (raw % p).astype(np.int64).reshape(count, d)
+
+
 @pytest.mark.parametrize("p, n, d", [(2, 4, 13), (3, 3, 8), (5, 3, 6), (65537, 3, 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_large_span_witness_is_the_first_invertible_random_draw(p, n, d, seed):
-    stack = _singular_basis(p, n, d, seed=p + d)
-    coeffs = np.random.default_rng(seed).integers(0, p, (256, d))
-    draws = np.tensordot(coeffs, stack, axes=1) % p
+    # seed picks the basis; every search draws the same stream
+    stack = _singular_basis(p, n, d, seed=p + d + seed)
+    draws = np.tensordot(_draws(p, d, 256), stack, axes=1) % p
     first = next(i for i, x in enumerate(draws) if Mat(p, x).is_invertible())
-    status, witness, searched = _find_invertible(stack, p, 2**20, seed)
+    status, witness, searched = _find_invertible(stack, p, 2**20)
     assert status == "yes"
     assert np.array_equal(witness.a, draws[first])
-    assert searched == _slice_end(first)
+    assert searched == min(_slice_end(first), 256)
+
+
+def _diagonal_forms_basis(d, k):
+    """A (d, k, k) stack over F_2 whose combination by c is upper triangular
+    with diagonal (l_1(c), ..., l_k(c)) for random forms l_i, and l_1(c) in
+    the top right corner.  It is invertible iff every l_i(c) = 1, and then
+    the corner is 1, so the identity is not in the span."""
+    rng = np.random.default_rng(d)
+    forms = rng.integers(0, 2, size=(k, d))
+    stack = np.triu(rng.integers(0, 2, size=(d, k, k)), 1)
+    idx = np.arange(k)
+    stack[:, idx, idx] = forms.T
+    stack[:, 0, k - 1] = forms[0]
+    return stack
+
+
+@pytest.mark.parametrize("d", [13, 14])
+def test_certificate_comes_between_the_first_draws_and_the_rest(d):
+    # one combination in 128 is invertible, and none of the first 16 draws
+    # (the first is draw 30 at d = 13 and draw 240 at d = 14): the
+    # certificate is asked once, and the witness is the first invertible
+    # draw after them, counted in slices of 64 and 176
+    stack = _diagonal_forms_basis(d, 7)
+    assert not _spans_identity(stack.reshape(d, -1), 7, 2)
+    assert not _batch_invertible(stack, 2).any()
+    draws = np.tensordot(_draws(2, d, 256), stack, axes=1) % 2
+    ok = _batch_invertible(draws, 2)
+    first = int(np.argmax(ok))
+    assert ok.any() and first >= 16
+    asked = []
+    status, witness, searched = _find_invertible(stack, 2, 2**20, lambda: asked.append(1) and False)
+    assert (status, asked) == ("yes", [1])
+    assert np.array_equal(witness.a, draws[first])
+    assert searched == min(_slice_end(first), 256)
 
 
 @pytest.mark.parametrize("p, d", [(2, 5), (2, 13), (3, 8), (5, 6), (65537, 1)])
@@ -343,48 +388,82 @@ def test_no_exhaustion_reports_the_whole_span(p, d, monkeypatch):
     monkeypatch.setattr(
         modrep, "_batch_invertible", lambda b, q: calls.append(len(b)) or _batch_invertible(b, q)
     )
-    assert _find_invertible(stack, p, 2**20, seed=0) == ("no", None, p**d)
+    assert _find_invertible(stack, p, 2**20) == ("no", None, p**d)
     if p > 4096:
         # above p = 4096 the last coordinate is checked in slices growing to
-        # 4096, not one candidate a call: one basis check, three slices of the
-        # 256-element burst, then 1024 and sixteen slices of at most 4096
+        # 4096, not one candidate a call: one call for the basis and the
+        # first 16 draws, two slices of the other 240, then the 17 blocks of
+        # at most 4096 values, the first in slices of 1024 and 3072
         assert len(calls) <= 21 and max(calls) == 4096
 
 
-def _iso_and_hom_calls(monkeypatch, m1, m2):
-    calls = []
-    monkeypatch.setattr(modrep, "hom_space", lambda *a: calls.append(a) or hom_space(*a))
-    return is_isomorphic(m1, m2), len(calls)
+_FIXED_ORDER_SCRIPT = """
+import json, sys
+from modequiv import modrep
+from modequiv.equiv import restriction_function
+from modequiv.families import c2, fixture
+from modequiv.linalg import Mat
+
+calls = []
+hom_space = modrep.hom_space
+modrep.hom_space = lambda *a: calls.append(a) or hom_space(*a)
+m = modrep.direct_sum(*fixture("tame3", 3)[1])
+yes = modrep.is_isomorphic(m, modrep.conjugate(m, Mat(3, json.loads(sys.argv[1]))))
+yes_calls = len(calls)
+no = modrep.is_isomorphic(c2(1, 1, 1048583), c2(2, 3, 1048583))
+classes = restriction_function(fixture("wild6", 3)[1][0], "maximal").classes
+assert "numpy.random" not in sys.modules
+print(json.dumps({
+    "yes": [yes.verdict.value, yes.witness.to_lists(), yes.searched, yes_calls],
+    "no": [no.verdict.value, no.note, no.searched],
+    "classes": [list(c) for c in classes],
+}))
+"""
 
 
-def test_burst_yes_builds_no_certificate(monkeypatch):
-    # Hom(m, conjugate) has dim 13, so 3^13 candidates: too many for one
-    # batch, and the seeded burst finds the witness before the three Hom
-    # spaces of the dimension certificate are asked for.  In a process
-    # without numpy.random the certificate goes first, with the same result.
+@pytest.fixture(scope="module")
+def fresh_interpreter():
+    """The search run in a fresh interpreter, which never loads numpy.random,
+    and the conjugating matrix it was given.  Hom(m, conjugate) has dim 13,
+    too large for one batch."""
     p = 3
     m = direct_sum(*fixture("tame3", p)[1])
-    m2 = conjugate(m, rand_invertible(m.dim, p, np.random.default_rng(0)))
-    res, calls = _iso_and_hom_calls(monkeypatch, m, m2)
-    assert res.verdict.is_yes and p**res.hom_dim > 4096 and res.searched > 0
-    assert calls == 1
-    monkeypatch.delitem(sys.modules, "numpy.random")
-    assert _iso_and_hom_calls(monkeypatch, m, m2) == (res, 4)
+    pmat = rand_invertible(m.dim, p, np.random.default_rng(0))
+    src = os.path.dirname(os.path.dirname(modrep.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FIXED_ORDER_SCRIPT, json.dumps(pmat.to_lists())],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout), m, pmat
 
 
-def test_obstruction_before_numpy_random_is_loaded(monkeypatch):
-    # an obstructed span draws nothing while numpy.random is not loaded
-    def no_draws(*args):
-        raise AssertionError("random burst on an obstructed span")
+def test_burst_yes_builds_no_certificate(fresh_interpreter):
+    # the first draws find the witness before the three Hom spaces of the
+    # certificate are asked for, here and in a process without numpy.random
+    child, m, pmat = fresh_interpreter
+    yes = is_isomorphic(m, conjugate(m, pmat))
+    assert yes.verdict.is_yes and 3**yes.hom_dim > 4096 and yes.searched > 0
+    assert child["yes"] == ["yes", yes.witness.to_lists(), yes.searched, 1]
 
-    p = 1048583
-    m1, m2 = c2(1, 1, p), c2(2, 3, p)
-    np.random.default_rng(0)
-    loaded = _iso_and_hom_calls(monkeypatch, m1, m2)
-    monkeypatch.delitem(sys.modules, "numpy.random")
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
-    assert _iso_and_hom_calls(monkeypatch, m1, m2) == loaded
-    assert loaded[0].note == "hom dimension obstruction"
+
+def test_obstruction_before_numpy_random_is_loaded(fresh_interpreter):
+    # the obstructed span at p = 1048583 is decided with nothing searched,
+    # the same with and without numpy.random loaded
+    child = fresh_interpreter[0]
+    no = is_isomorphic(c2(1, 1, 1048583), c2(2, 3, 1048583))
+    assert child["no"] == [no.verdict.value, no.note, no.searched]
+    assert no.note == "hom dimension obstruction" and no.searched == 0
+
+
+def test_search_order_is_fixed_and_loads_no_numpy_random(fresh_interpreter):
+    # restriction_function runs one search per pair of maximal subalgebras
+    # with equal keys, and gets the same classes without numpy.random
+    from modequiv.equiv import restriction_function
+
+    classes = restriction_function(fixture("wild6", 3)[1][0], "maximal").classes
+    assert fresh_interpreter[0]["classes"] == [list(c) for c in classes]
+    assert "numpy.random" in sys.modules
 
 
 # -- indecomposability and decomposition --------------------------------------
