@@ -5,6 +5,25 @@ relations quantify over enumerated proper subalgebras, the twisted relations
 over enumerated algebra automorphisms.  Verdicts are three-valued; Undecided
 never converts to Yes or No, and a universal relation reports No with the
 first failing item in enumeration order.
+
+Three facts about restriction settle much of the restriction relations
+without a search:
+
+- The rank profile of restrict(m, s) at c is m's profile at c^T W, W the
+  rows of s's basis, so every restriction's profile is read from one table
+  of m's ranks per call (_restriction_profiles).  Unequal profiles
+  certify non-isomorphism.
+- An isomorphism of the restrictions to W is one of the restrictions to
+  every U inside W, since U's generators are combinations of W's.
+- A restriction to a line is one square-zero matrix, determined up to
+  similarity by its size and rank (_EQUAL_RANK).
+
+Each is exact, so where one decides a subalgebra, is_isomorphic would have
+said the same or, with its Hom space beyond the budget, Undecided.  So a
+relation may give Yes or No where deciding every subalgebra with
+is_isomorphic would give Undecided: r_isomorphic over "all" is Yes once every
+maximal subalgebra is, even where a smaller one's larger Hom space exceeds
+the budget.  Wherever a witness leaves the call, it is is_isomorphic's.
 """
 
 from __future__ import annotations
@@ -101,14 +120,15 @@ def _partition_from_pairs(labels: Sequence[str], same) -> Partition:
 def _scan(items, decide, stop: Verdict, found: EquivVerdict, default: EquivVerdict, total: int):
     """The three-valued quantifier behind every relation here.
 
-    Decides the (index, item) pairs in order.  The first whose verdict is
-    `stop` gives `found` with witness (index, item, result) and
-    checked = index + 1; failing that, the first Undecided gives Undecided
-    with that witness; failing that, `default`.  Both carry checked = total.
+    Decides the (index, item) pairs in order, by decide(index, item).  The
+    first whose verdict is `stop` gives `found` with witness (index, item,
+    result) and checked = index + 1; failing that, the first Undecided gives
+    Undecided with that witness; failing that, `default`.  Both carry
+    checked = total.
     """
     undecided = None
     for idx, item in items:
-        res = decide(item)
+        res = decide(idx, item)
         if res.verdict is stop:
             return replace(found, witness=(idx, item, res), checked=idx + 1)
         if res.verdict.is_undecided and undecided is None:
@@ -134,7 +154,8 @@ def _every_subalgebra(
     m: Module, scope: str, decide, stop: Verdict, note: str
 ) -> EquivVerdict:
     """A universal relation: No at the first enumerated proper subalgebra in
-    scope that decide gives the verdict `stop`, else as _scan."""
+    scope that decide(index, subalgebra) gives the verdict `stop`, else as
+    _scan."""
     _require_rsz(m)
     subs = enumerate_proper_subalgebras(m.algebra, scope)
     return _scan(
@@ -147,6 +168,35 @@ def _every_subalgebra(
     )
 
 
+# A square-zero matrix has Jordan blocks of size at most 2, one of size 2
+# per unit of rank, so its size and rank determine it up to similarity.
+# Over a line W, restrict(m, W) is one such matrix, and its rank profile is
+# (0, rank, ..., rank): restrictions of equal dimension to a line with equal
+# profiles are isomorphic.  _EQUAL_RANK is that Yes; it has no witness, so it
+# is used only where no witness leaves the call.
+_EQUAL_RANK = IsoResult(Verdict.YES, note="square-zero matrices of equal size and rank")
+
+
+def _profile_agreement(m1: Module, m2: Module, scope: str):
+    """agree(i): whether restrict(m1, s) and restrict(m2, s) have equal rank
+    profiles at the i-th subalgebra s in scope, or None where s has none.
+    Unequal profiles certify non-isomorphism, since a base change keeps
+    every rank.  The two tables of _restriction_profiles are built at the
+    first s that has a profile, so a call that compares none ranks nothing."""
+    positions = _profile_index(m1.algebra, scope)[1]
+    tables = functools.cache(
+        lambda: (_restriction_profiles(m1, scope), _restriction_profiles(m2, scope))
+    )
+
+    def agree(i: int) -> bool | None:
+        if positions[i] is None:
+            return None
+        prof1, prof2 = tables()
+        return bool(np.array_equal(prof1[i], prof2[i]))
+
+    return agree
+
+
 def r_isomorphic(
     m1: Module,
     m2: Module,
@@ -154,15 +204,39 @@ def r_isomorphic(
     budget: int = DEFAULT_BUDGET,
 ) -> EquivVerdict:
     """Yes iff the restrictions to every enumerated proper subalgebra in
-    scope are isomorphic."""
+    scope are isomorphic.
+
+    Restrictions to a line are compared by rank (_EQUAL_RANK).  Over scope
+    "all" the maximal subalgebras are decided first: every proper U lies in
+    some maximal W, and an isomorphism of the restrictions to W intertwines
+    every combination of W's generators, so it is an isomorphism of the
+    restrictions to U too.  If every maximal W is a Yes, so is the relation,
+    with every subalgebra checked.  This may be a Yes where a scan of every
+    subalgebra meets an Undecided at a smaller U, whose larger Hom space
+    exceeds the budget.  If some maximal W has unequal rank profiles, or is
+    not a Yes, the ordered scan runs, reusing the maximal results, so its No
+    or Undecided witness is that of a scan of every subalgebra.
+    """
     _same_algebra(m1, m2)
-    return _every_subalgebra(
-        m1,
-        scope,
-        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget),
-        Verdict.NO,
-        "restriction differs",
-    )
+    _require_rsz(m1)
+    subs = enumerate_proper_subalgebras(m1.algebra, scope)
+    agree = _profile_agreement(m1, m2, scope)
+
+    @functools.cache
+    def decide(i: int) -> IsoResult:
+        s = subs[i]
+        if s.dim_w == 1 and m1.dim == m2.dim and agree(i):
+            return _EQUAL_RANK
+        return is_isomorphic(restrict(m1, s), restrict(m2, s), budget)
+
+    if scope == "all":
+        top = m1.algebra.num_generators - 1
+        maximal = [i for i, s in enumerate(subs) if s.dim_w == top]
+        if all(agree(i) is not False for i in maximal) and all(
+            decide(i).verdict.is_yes for i in maximal
+        ):
+            return EquivVerdict(Verdict.YES, checked=len(subs))
+    return _every_subalgebra(m1, scope, lambda i, _: decide(i), Verdict.NO, "restriction differs")
 
 
 def r_distinct(
@@ -172,15 +246,24 @@ def r_distinct(
     budget: int = DEFAULT_BUDGET,
 ) -> EquivVerdict:
     """Yes iff the restrictions are non-isomorphic at every enumerated
-    subalgebra in scope."""
+    subalgebra in scope.
+
+    Unequal rank profiles are a No without a search.  The relation stops
+    only on a Yes, and every Yes comes from is_isomorphic with its witness.
+    The verdict may be a Yes where is_isomorphic at every subalgebra would
+    give an Undecided, beyond the budget, at a subalgebra whose profiles
+    differ: those restrictions are certainly not isomorphic.
+    """
     _same_algebra(m1, m2)
-    return _every_subalgebra(
-        m1,
-        scope,
-        lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s), budget),
-        Verdict.YES,
-        "restrictions isomorphic",
-    )
+    _require_rsz(m1)
+    agree = _profile_agreement(m1, m2, scope)
+
+    def decide(i: int, s) -> IsoResult:
+        if agree(i) is False:
+            return IsoResult(Verdict.NO, note="rank profiles differ")
+        return is_isomorphic(restrict(m1, s), restrict(m2, s), budget)
+
+    return _every_subalgebra(m1, scope, decide, Verdict.YES, "restrictions isomorphic")
 
 
 def r_decomposable(m: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
@@ -188,7 +271,7 @@ def r_decomposable(m: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
     return _every_subalgebra(
         m,
         "maximal",
-        lambda s: is_indecomposable(restrict(m, s), budget),
+        lambda _, s: is_indecomposable(restrict(m, s), budget),
         Verdict.YES,
         "restriction stays indecomposable",
     )
@@ -202,27 +285,27 @@ def restriction_function(
     """Partition of the enumerated subalgebras by isomorphism class of the
     restriction of m; labels are s{index} in enumeration order.
 
-    Each restriction is keyed by its algebra and, where rank profiles are
-    compared, by its profile c -> rank(sum_i c_i A_i): a base change keeps
-    every such rank, so restrictions with unequal keys are non-isomorphic
-    without a search, and is_isomorphic runs only on equal keys."""
+    Each restriction is keyed by its dimension of W and, where rank profiles
+    are compared, by its profile c -> rank(sum_i c_i A_i): a base change
+    keeps every such rank, so restrictions with unequal keys are
+    non-isomorphic without a search.  Restrictions to lines with equal keys
+    are isomorphic (_EQUAL_RANK), and is_isomorphic runs only on equal keys
+    of larger W, on restrictions built when first compared.  So no
+    comparison of two lines raises UndecidedError, even where their Hom
+    space is beyond the budget."""
     _require_rsz(m)
     subs = enumerate_proper_subalgebras(m.algebra, scope)
-    restrictions = [restrict(m, s) for s in subs]
+    profiles = _restriction_profiles(m, scope)
     labels = [f"s{i}" for i in range(len(subs))]
-
-    def key(r: Module) -> tuple:
-        points = _profile_points(r.algebra)
-        if points is None:
-            return (r.algebra,)
-        return r.algebra, _rank_profile(r, points).tobytes()
-
-    keys = [key(r) for r in restrictions]
+    keys = [(s.dim_w, b"" if r is None else r.tobytes()) for s, r in zip(subs, profiles)]
+    restricted = functools.cache(lambda i: restrict(m, subs[i]))
 
     def same(i: int, j: int) -> bool:
         if keys[i] != keys[j]:
             return False
-        res = is_isomorphic(restrictions[i], restrictions[j], budget)
+        if subs[i].dim_w == 1 and profiles[i] is not None:
+            return True  # _EQUAL_RANK
+        res = is_isomorphic(restricted(i), restricted(j), budget)
         if res.verdict.is_undecided:
             raise UndecidedError(f"restriction comparison {labels[i]} vs {labels[j]} undecided")
         return res.verdict.is_yes
@@ -230,10 +313,12 @@ def restriction_function(
     return _partition_from_pairs(labels, same)
 
 
-# Rank profiles are compared while F_p^g has at most this many points, and
-# the automorphisms are scanned in chunks whose (K, p^g, g) image arrays stay
-# near _PROFILE_CELLS entries: larger chunks were no faster and raised the
-# peak memory of a process by megabytes.
+# Rank profiles are compared while F_p^g has at most this many points (g the
+# number of generators, dim W for a restriction), a module's table of ranks
+# is computed in chunks of at most this many points, and the automorphisms
+# are scanned in chunks whose (K, p^g, g) image arrays stay near
+# _PROFILE_CELLS entries: larger chunks were no faster and raised the peak
+# memory of a process by megabytes.
 _PROFILE_POINTS = 1024
 _PROFILE_CELLS = 2**15
 
@@ -251,6 +336,49 @@ def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:
     """rank(sum_i c_i A_i) at every point c, A_i the action of generator i."""
     p = m.algebra.p
     return _batch_rank(tensor_combine(points, m.actions, p), p)
+
+
+@functools.lru_cache(maxsize=128)
+def _profile_index(a: Algebra, scope: str) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
+    """The points of F_p^g that the rank profiles of restrictions read, as
+    one (N, g) array of distinct points, and for each subalgebra s of
+    enumerate_proper_subalgebras(a, scope) the positions in it of c^T W for
+    c in _profile_points(s.as_algebra), W the rows of s's basis (None where
+    s has no profile).  Built once per (algebra, scope), like the lattice."""
+    subs = enumerate_proper_subalgebras(a, scope)
+    images = []
+    for s in subs:
+        points = _profile_points(s.as_algebra)
+        images.append(None if points is None else _mul_arrays(points, s.w_basis.a, a.p))
+    kept = [x for x in images if x is not None]
+    if not kept:
+        return np.zeros((0, a.num_generators), dtype=np.int64), (None,) * len(subs)
+    points, inverse = np.unique(np.concatenate(kept), axis=0, return_inverse=True)
+    inverse, positions, start = inverse.reshape(-1), [], 0
+    points.setflags(write=False)
+    inverse.setflags(write=False)
+    for x in images:
+        positions.append(None if x is None else inverse[start : start + len(x)])
+        start += 0 if x is None else len(x)
+    return points, tuple(positions)
+
+
+def _restriction_profiles(m: Module, scope: str) -> list[np.ndarray | None]:
+    """The rank profile of restrict(m, s) at _profile_points(s.as_algebra)
+    for each s of enumerate_proper_subalgebras(m.algebra, scope), or None
+    where it has none (W = 0, or p^dim W > _PROFILE_POINTS).
+
+    restrict(m, s) lets its generator i act by sum_j W_ij A_j, so at c its
+    rank is m's profile at c^T W: every profile is read from one table of
+    m's ranks at the distinct points the subalgebras need (_profile_index),
+    ranked in chunks of at most _PROFILE_POINTS points."""
+    points, positions = _profile_index(m.algebra, scope)
+    chunks = [
+        _rank_profile(m, points[start : start + _PROFILE_POINTS])
+        for start in range(0, len(points), _PROFILE_POINTS)
+    ]
+    table = np.concatenate(chunks) if chunks else None
+    return [None if pos is None else table[pos] for pos in positions]
 
 
 def _twisted_profiles(
@@ -317,7 +445,7 @@ def _twist_scan(m1: Module, m2: Module, profiles: tuple | None, budget: int) -> 
         return EquivVerdict(Verdict.NO, note="all automorphisms exhausted", checked=len(autos))
     end_dim = functools.cache(lambda: hom_space(m1, m1).dim)
 
-    def decide(f: Automorphism) -> IsoResult:
+    def decide(_, f: Automorphism) -> IsoResult:
         twisted = twist(m2, f)
         hom = hom_space(m1, twisted)
         if hom.dim != end_dim():
@@ -493,19 +621,29 @@ def rt_isomorphic(m1: Module, m2: Module, budget: int = DEFAULT_BUDGET) -> Equiv
     twisted-isomorphic (over the subalgebra's automorphisms).
 
     Twisting by the identity changes nothing, so isomorphic restrictions at
-    W are twisted-isomorphic there: when their rank profiles agree and
-    is_isomorphic says Yes, W passes without a twist scan.  Any other W runs
-    t_isomorphic's scan.  Where is_isomorphic says Yes, the identity would
-    have been a Yes of that scan too, and a scan never stops the quantifier
-    on a Yes, so the verdict, checked count, witness and note are those of
-    a scan at every W.  Each restriction's rank profile is computed once.
+    W are twisted-isomorphic there: when their rank profiles agree and they
+    are lines (_EQUAL_RANK) or is_isomorphic says Yes, W passes without a
+    twist scan.  Any other W runs t_isomorphic's scan.  Where W passes so,
+    the identity would have been a Yes of that scan too, and a scan never
+    stops the quantifier on a Yes, so the verdict, checked count, witness
+    and note are those of a scan at every W.  The restrictions' rank
+    profiles are read from one table per module (_restriction_profiles) and
+    passed on to the scan.  A line of equal rank passes even where its scan
+    would be Undecided beyond the budget, since its restrictions are
+    isomorphic.
     """
     _same_algebra(m1, m2)
+    _require_rsz(m1)
+    prof1, prof2 = _restriction_profiles(m1, "maximal"), _restriction_profiles(m2, "maximal")
 
-    def decide(s) -> IsoResult | EquivVerdict:
+    def decide(i: int, s) -> IsoResult | EquivVerdict:
+        points = _profile_points(s.as_algebra)
+        profiles = None if points is None else (points, prof1[i], prof2[i])
+        same = profiles is None or np.array_equal(prof1[i], prof2[i])
+        if same and profiles is not None and s.dim_w == 1 and m1.dim == m2.dim:
+            return _EQUAL_RANK
         r1, r2 = restrict(m1, s), restrict(m2, s)
-        profiles = _profiles(r1, r2)
-        if profiles is None or np.array_equal(profiles[1], profiles[2]):
+        if same:
             res = is_isomorphic(r1, r2, budget)
             if res.verdict.is_yes:
                 return res

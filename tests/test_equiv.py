@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modequiv import equiv
 from modequiv.algebra import (
+    DEFAULT_BUDGET,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     make_rsz_algebra,
 )
 from modequiv.equiv import (
+    EquivVerdict,
     _profile_points,
     _rank_profile,
     _twisted_profiles,
@@ -22,7 +26,7 @@ from modequiv.equiv import (
     t_orbit,
     verify_twisted_witness,
 )
-from modequiv.errors import UnsupportedAlgebraKind
+from modequiv.errors import UndecidedError, UnsupportedAlgebraKind
 from modequiv.families import INFINITY, band_module, c2, c3, fixture, jordan, k_module
 from modequiv.linalg import Mat, rand_invertible
 from modequiv.modrep import (
@@ -282,16 +286,217 @@ def test_r_distinct_stops_at_first_isomorphic_restriction():
 
 
 def test_no_after_undecided_wins(monkeypatch):
+    # every plane of wild6 runs is_isomorphic at scope maximal (tame3's
+    # lines are decided by rank and never reach it): a No after an earlier
+    # Undecided wins, with the witness at the No
     from modequiv.modrep import IsoResult
 
     verdicts = iter([Verdict.UNDECIDED, Verdict.NO])
     monkeypatch.setattr(equiv, "is_isomorphic", lambda *a: IsoResult(next(verdicts)))
-    _, (m1, m2) = fixture("tame3", 2)
-    res = r_isomorphic(m1, m2, "all")
+    _, (m1, m2) = fixture("wild6", 2)
+    res = r_isomorphic(m1, m2, "maximal")
     assert res.verdict is Verdict.NO
     assert res.witness[0] == 1 and res.witness[2].verdict is Verdict.NO
     assert res.checked == 2
     assert res.note == "restriction differs"
+
+
+# -- the relations against per-subalgebra references ------------------------------
+#
+# The references decide every subalgebra in enumeration order from its own
+# restrictions, with is_isomorphic at each: no profile is read from the
+# parent module, no line is settled by rank, and "all" has no first pass
+# over the maximal subalgebras.  The relations must agree with them exactly.
+
+
+def _ref_quantify(m, scope, decide, stop, note):
+    """No (with note) at the first subalgebra that decide(s) gives `stop`,
+    else Undecided at the first Undecided, else Yes; witness (index, s,
+    result)."""
+    subs = enumerate_proper_subalgebras(m.algebra, scope)
+    undecided = None
+    for i, s in enumerate(subs):
+        res = decide(s)
+        if res.verdict is stop:
+            return EquivVerdict(Verdict.NO, witness=(i, s, res), note=note, checked=i + 1)
+        if res.verdict.is_undecided and undecided is None:
+            undecided = (i, s, res)
+    if undecided is not None:
+        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=len(subs))
+    return EquivVerdict(Verdict.YES, checked=len(subs))
+
+
+def _ref_r_isomorphic(m1, m2, scope):
+    return _ref_quantify(
+        m1, scope, lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s)),
+        Verdict.NO, "restriction differs",
+    )
+
+
+def _ref_r_distinct(m1, m2, scope):
+    return _ref_quantify(
+        m1, scope, lambda s: is_isomorphic(restrict(m1, s), restrict(m2, s)),
+        Verdict.YES, "restrictions isomorphic",
+    )
+
+
+def _ref_restriction_function(m, scope):
+    """Classes keyed by each restriction's own rank profile, with
+    is_isomorphic on every pair of equal keys."""
+    restrictions = [restrict(m, s) for s in enumerate_proper_subalgebras(m.algebra, scope)]
+    labels = [f"s{i}" for i in range(len(restrictions))]
+
+    def key(r):
+        points = _profile_points(r.algebra)
+        return (r.algebra,) if points is None else (r.algebra, _rank_profile(r, points).tobytes())
+
+    keys = [key(r) for r in restrictions]
+
+    def same(i, j):
+        if keys[i] != keys[j]:
+            return False
+        res = is_isomorphic(restrictions[i], restrictions[j])
+        if res.verdict.is_undecided:
+            raise UndecidedError(f"restriction comparison {labels[i]} vs {labels[j]} undecided")
+        return res.verdict.is_yes
+
+    return equiv._partition_from_pairs(labels, same)
+
+
+def _ref_rt_isomorphic(m1, m2):
+    """is_isomorphic on equal profiles of the restrictions, the twist scan
+    where it is not a Yes."""
+
+    def decide(s):
+        r1, r2 = restrict(m1, s), restrict(m2, s)
+        profiles = equiv._profiles(r1, r2)
+        if profiles is None or np.array_equal(profiles[1], profiles[2]):
+            res = is_isomorphic(r1, r2)
+            if res.verdict.is_yes:
+                return res
+        return equiv._twist_scan(r1, r2, profiles, DEFAULT_BUDGET)
+
+    return _ref_quantify(m1, "maximal", decide, Verdict.NO, "restrictions not twist-equivalent")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the UndecidedError it raised."""
+    try:
+        return fn(*args)
+    except UndecidedError as exc:
+        return str(exc)
+
+
+_RSZ_FIXTURES = ("tame3", "wild6", "rdist4", "rnott6", "rdec4")
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", _RSZ_FIXTURES)
+def test_relations_match_per_subalgebra_references(name, p, conjugated):
+    # equal verdict, note and checked, and an equal witness: its index,
+    # subalgebra and inner result (verdict, note, witness, searched)
+    mods = fixture(name, p)[1]
+    if conjugated:
+        rng = np.random.default_rng(100 * p + len(name))
+        mods = [conjugate(m, rand_invertible(m.dim, p, rng)) for m in mods]
+    m1, m2 = mods if len(mods) == 2 else (mods[0], mods[0])
+    for scope in ("maximal", "all"):
+        assert r_isomorphic(m1, m2, scope) == _ref_r_isomorphic(m1, m2, scope)
+        assert r_distinct(m1, m2, scope) == _ref_r_distinct(m1, m2, scope)
+        for m in mods:
+            got = _outcome(restriction_function, m, scope)
+            assert got == _outcome(_ref_restriction_function, m, scope)
+    assert rt_isomorphic(m1, m2) == _ref_rt_isomorphic(m1, m2)
+
+
+def test_r_isomorphic_first_pass_past_a_yes_plane_with_equal_profiles():
+    # K(0,1)+K(1,2) and K(0,2)+K(1,1) at p = 3 with X acting as 0: every
+    # plane has equal rank profiles, and the first that is not isomorphic is
+    # not the first plane, so the first pass decides planes past a Yes
+    alg = make_rsz_algebra(3, 3)
+
+    def lift(m):
+        return module_validate(alg, [Mat.zeros(m.dim, m.dim, 3), *m.action])
+
+    m1 = lift(direct_sum(k_module(0, 1, 3), k_module(1, 2, 3)))
+    m2 = lift(direct_sum(k_module(0, 2, 3), k_module(1, 1, 3)))
+    agree = equiv._profile_agreement(m1, m2, "maximal")
+    assert all(agree(i) for i in range(13))
+    for scope, first_plane in (("maximal", 0), ("all", 14)):
+        res = r_isomorphic(m1, m2, scope)
+        assert res == _ref_r_isomorphic(m1, m2, scope)
+        assert res.verdict.is_no and res.witness[1].dim_w == 2 and res.witness[0] > first_plane
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11])
+@pytest.mark.parametrize("name", _RSZ_FIXTURES)
+def test_profiles_read_from_the_parent_equal_the_restrictions_own(name, p):
+    # at p = 11, F_p^3 has 1331 points, more than one rank table holds; each
+    # plane needs 121 of them and keeps its profile
+    for m in fixture(name, p)[1]:
+        for scope in ("all", "maximal"):
+            subs = enumerate_proper_subalgebras(m.algebra, scope)
+            gathered = equiv._restriction_profiles(m, scope)
+            assert len(gathered) == len(subs)
+            for s, prof in zip(subs, gathered):
+                points = _profile_points(s.as_algebra)
+                assert (prof is None) == (points is None) == (s.dim_w == 0)
+                if points is not None:
+                    assert np.array_equal(prof, _rank_profile(restrict(m, s), points))
+
+
+def test_restriction_function_past_one_rank_table():
+    m = fixture("wild6", 11)[1][0]
+    assert restriction_function(m, "maximal") == _ref_restriction_function(m, "maximal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 6),
+    ranks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    seed=st.integers(0, 10**6),
+)
+def test_square_zero_matrices_are_isomorphic_iff_of_equal_rank(p, n, ranks, seed):
+    # the rule that decides restrictions to a line without a search
+    alg, rng = make_rsz_algebra(1, p), np.random.default_rng(seed)
+    r1, r2 = (min(r, n // 2) for r in ranks)
+
+    def square_zero(rank):
+        a = np.zeros((n, n), dtype=np.int64)
+        a[np.arange(rank) + rank, np.arange(rank)] = 1
+        m = module_validate(alg, [Mat(p, a)])
+        return conjugate(m, rand_invertible(n, p, rng))
+
+    res = is_isomorphic(square_zero(r1), square_zero(r2))
+    assert res.verdict is (Verdict.YES if r1 == r2 else Verdict.NO)
+
+
+def _count_is_isomorphic(monkeypatch):
+    calls = []
+
+    def counted(a, b, *args):
+        calls.append(a.algebra.num_generators)
+        return is_isomorphic(a, b, *args)
+
+    monkeypatch.setattr(equiv, "is_isomorphic", counted)
+    return calls
+
+
+def test_r_isomorphic_over_all_is_decided_on_the_planes(monkeypatch):
+    calls = _count_is_isomorphic(monkeypatch)
+    _, (m1, m2) = fixture("wild6", 3)
+    res = r_isomorphic(m1, m2, "all")
+    assert res.verdict.is_yes and res.checked == 27
+    assert calls == [2] * 13
+
+
+def test_r_distinct_needs_no_search_where_profiles_differ(monkeypatch):
+    calls = _count_is_isomorphic(monkeypatch)
+    _, (m1, m2) = fixture("rdist4", 3)
+    assert r_distinct(m1, m2, "maximal").verdict.is_yes
+    assert calls == []
 
 
 # -- t_isomorphic ---------------------------------------------------------------
@@ -570,7 +775,7 @@ def test_riso_implies_rtiso_on_fixture():
 
 def _reference_rt_isomorphic(m1, m2):
     """rt_isomorphic with the twist scan of t_isomorphic at every plane."""
-    return equiv._every_subalgebra(
+    return _ref_quantify(
         m1,
         "maximal",
         lambda s: t_isomorphic(restrict(m1, s), restrict(m2, s)),
