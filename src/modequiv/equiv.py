@@ -11,19 +11,20 @@ without a search:
 
 - The rank profile of restrict(m, s) at c is m's profile at c^T W, W the
   rows of s's basis, so every restriction's profile is read from one table
-  of m's ranks per call (_restriction_profiles).  Unequal profiles
-  certify non-isomorphism.
+  of m's ranks per call (_rank_table, read at _profile_index).  Unequal
+  profiles certify non-isomorphism.
 - An isomorphism of the restrictions to W is one of the restrictions to
   every U inside W, since U's generators are combinations of W's.
 - A restriction to a line is one square-zero matrix, determined up to
-  similarity by its size and rank (_EQUAL_RANK).
+  similarity by its size and rank (_EQUAL_RANK, _SPLIT_LINE).
 
-Each is exact, so where one decides a subalgebra, is_isomorphic would have
-said the same or, with its Hom space beyond the budget, Undecided.  So a
-relation may give Yes or No where deciding every subalgebra with
-is_isomorphic would give Undecided: r_isomorphic over "all" is Yes once every
-maximal subalgebra is, even where a smaller one's larger Hom space exceeds
-the budget.  Wherever a witness leaves the call, it is is_isomorphic's.
+Each is exact, so where one decides a subalgebra, is_isomorphic (or
+is_indecomposable) would have said the same or, beyond the budget,
+Undecided.  So a relation may give Yes or No where deciding every
+subalgebra with is_isomorphic would give Undecided: r_isomorphic over "all"
+is Yes once every maximal subalgebra is, even where a smaller one's larger
+Hom space exceeds the budget.  Wherever a witness leaves the call, it is
+is_isomorphic's (or is_indecomposable's).
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .algebra import (
     inverse,
 )
 from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
-from .linalg import Mat, _batch_rank, _mul_arrays, lex_blocks, tensor_combine
+from .linalg import Mat, _batch_rank, _mul_arrays, lex_blocks, lex_rows, tensor_combine
 from .modrep import (
     Module,
+    IndecResult,
     IsoResult,
     Verdict,
     _intertwines,
@@ -168,33 +170,39 @@ def _every_subalgebra(
     )
 
 
-# A square-zero matrix has Jordan blocks of size at most 2, one of size 2
-# per unit of rank, so its size and rank determine it up to similarity.
-# Over a line W, restrict(m, W) is one such matrix, and its rank profile is
-# (0, rank, ..., rank): restrictions of equal dimension to a line with equal
-# profiles are isomorphic.  _EQUAL_RANK is that Yes; it has no witness, so it
-# is used only where no witness leaves the call.
+# A square-zero n x n matrix of rank r has Jordan blocks J2^r + J1^(n - 2r),
+# so its size and rank determine it up to similarity, and it has n - r
+# blocks.  Over a line W, restrict(m, W) is one such matrix, and its rank
+# profile is (0, r, ..., r).  Restrictions of equal dimension to a line with
+# equal profiles are isomorphic: _EQUAL_RANK is that Yes.  A restriction to a
+# line with n - r > 1 decomposes: _SPLIT_LINE is that No.  Neither has a
+# witness, so each is used only where no witness leaves the call.
 _EQUAL_RANK = IsoResult(Verdict.YES, note="square-zero matrices of equal size and rank")
+_SPLIT_LINE = IndecResult(Verdict.NO, note="square-zero matrix of more than one Jordan block")
 
 
-def _profile_agreement(m1: Module, m2: Module, scope: str):
-    """agree(i): whether restrict(m1, s) and restrict(m2, s) have equal rank
-    profiles at the i-th subalgebra s in scope, or None where s has none.
+def _profile_reader(scope: str, *mods: Module):
+    """read(i): the rank profiles of restrict(m, s) for each m of mods at the
+    i-th subalgebra s in scope, as a tuple, or None where s has none.  Each
+    is its module's _rank_table read at _profile_index; the tables are
+    ranked at the first s that has a profile, so a call that reads none
+    ranks nothing."""
+    positions = _profile_index(mods[0].algebra, scope)
+    tables = functools.cache(lambda: [_rank_table(m) for m in mods])
+    return lambda i: None if positions[i] is None else tuple(t[positions[i]] for t in tables())
+
+
+def _agree(profiles: tuple | None) -> bool | None:
+    """Whether a pair of rank profiles is equal, or None where there is none.
     Unequal profiles certify non-isomorphism, since a base change keeps
-    every rank.  The two tables of _restriction_profiles are built at the
-    first s that has a profile, so a call that compares none ranks nothing."""
-    positions = _profile_index(m1.algebra, scope)[1]
-    tables = functools.cache(
-        lambda: (_restriction_profiles(m1, scope), _restriction_profiles(m2, scope))
-    )
+    every rank."""
+    return None if profiles is None else bool(np.array_equal(*profiles))
 
-    def agree(i: int) -> bool | None:
-        if positions[i] is None:
-            return None
-        prof1, prof2 = tables()
-        return bool(np.array_equal(prof1[i], prof2[i]))
 
-    return agree
+def _equal_lines(s, m1: Module, m2: Module, profiles: tuple | None) -> bool:
+    """Whether restrict(m1, s) and restrict(m2, s) are lines of equal size
+    and rank (_EQUAL_RANK), given their profiles from _profile_reader."""
+    return s.dim_w == 1 and m1.dim == m2.dim and bool(_agree(profiles))
 
 
 def r_isomorphic(
@@ -220,19 +228,19 @@ def r_isomorphic(
     _same_algebra(m1, m2)
     _require_rsz(m1)
     subs = enumerate_proper_subalgebras(m1.algebra, scope)
-    agree = _profile_agreement(m1, m2, scope)
+    read = _profile_reader(scope, m1, m2)
 
     @functools.cache
     def decide(i: int) -> IsoResult:
         s = subs[i]
-        if s.dim_w == 1 and m1.dim == m2.dim and agree(i):
+        if _equal_lines(s, m1, m2, read(i)):
             return _EQUAL_RANK
         return is_isomorphic(restrict(m1, s), restrict(m2, s), budget)
 
     if scope == "all":
         top = m1.algebra.num_generators - 1
         maximal = [i for i, s in enumerate(subs) if s.dim_w == top]
-        if all(agree(i) is not False for i in maximal) and all(
+        if all(_agree(read(i)) is not False for i in maximal) and all(
             decide(i).verdict.is_yes for i in maximal
         ):
             return EquivVerdict(Verdict.YES, checked=len(subs))
@@ -256,10 +264,10 @@ def r_distinct(
     """
     _same_algebra(m1, m2)
     _require_rsz(m1)
-    agree = _profile_agreement(m1, m2, scope)
+    read = _profile_reader(scope, m1, m2)
 
     def decide(i: int, s) -> IsoResult:
-        if agree(i) is False:
+        if _agree(read(i)) is False:
             return IsoResult(Verdict.NO, note="rank profiles differ")
         return is_isomorphic(restrict(m1, s), restrict(m2, s), budget)
 
@@ -267,14 +275,24 @@ def r_distinct(
 
 
 def r_decomposable(m: Module, budget: int = DEFAULT_BUDGET) -> EquivVerdict:
-    """Yes iff the restriction to every maximal proper subalgebra decomposes."""
-    return _every_subalgebra(
-        m,
-        "maximal",
-        lambda _, s: is_indecomposable(restrict(m, s), budget),
-        Verdict.YES,
-        "restriction stays indecomposable",
-    )
+    """Yes iff the restriction to every maximal proper subalgebra decomposes.
+
+    A restriction to a line is one square-zero matrix of rank r, read from
+    its profile (0, r, ..., r), with m.dim - r Jordan blocks; where that is
+    more than one it decomposes (_SPLIT_LINE).  Every other restriction goes
+    to is_indecomposable, so every Yes witness of a restriction is its
+    result.  A line so settled is No even where is_indecomposable would be
+    Undecided beyond the budget."""
+    _require_rsz(m)
+    read = _profile_reader("maximal", m)
+
+    def decide(i: int, s) -> IndecResult:
+        profiles = read(i) if s.dim_w == 1 else None
+        if profiles is not None and m.dim - profiles[0][1] > 1:
+            return _SPLIT_LINE
+        return is_indecomposable(restrict(m, s), budget)
+
+    return _every_subalgebra(m, "maximal", decide, Verdict.YES, "restriction stays indecomposable")
 
 
 def restriction_function(
@@ -295,9 +313,9 @@ def restriction_function(
     space is beyond the budget."""
     _require_rsz(m)
     subs = enumerate_proper_subalgebras(m.algebra, scope)
-    profiles = _restriction_profiles(m, scope)
+    profiles = list(map(_profile_reader(scope, m), range(len(subs))))
     labels = [f"s{i}" for i in range(len(subs))]
-    keys = [(s.dim_w, b"" if r is None else r.tobytes()) for s, r in zip(subs, profiles)]
+    keys = [(s.dim_w, b"" if r is None else r[0].tobytes()) for s, r in zip(subs, profiles)]
     restricted = functools.cache(lambda i: restrict(m, subs[i]))
 
     def same(i: int, j: int) -> bool:
@@ -323,88 +341,71 @@ _PROFILE_POINTS = 1024
 _PROFILE_CELLS = 2**15
 
 
-def _profile_points(a: Algebra) -> np.ndarray | None:
-    """Every c in F_p^g in lexicographic order (one lex_blocks table), or None
-    where rank profiles are not compared (non-rsz, g = 0, too many points)."""
-    g, p = a.num_generators, a.p
-    if a.kind != RSZ or g == 0 or p**g > _PROFILE_POINTS:
-        return None
-    return lex_blocks(g, p, _PROFILE_POINTS)[0]
+def _profiled(a: Algebra) -> bool:
+    """Whether rank profiles are compared over a: an rsz algebra with
+    g >= 1 generators and p^g <= _PROFILE_POINTS."""
+    g = a.num_generators
+    return a.kind == RSZ and g > 0 and a.p**g <= _PROFILE_POINTS
 
 
-def _rank_profile(m: Module, points: np.ndarray) -> np.ndarray:
-    """rank(sum_i c_i A_i) at every point c, A_i the action of generator i."""
+def _rank_table(m: Module) -> np.ndarray:
+    """m's rank profile: rank(sum_i c_i A_i) at every c of F_p^g in
+    lexicographic order, A_i the action of generator i, ranked in chunks of
+    at most _PROFILE_POINTS points."""
     p = m.algebra.p
-    return _batch_rank(tensor_combine(points, m.actions, p), p)
+    rows = lex_rows(m.algebra.num_generators, p, _PROFILE_POINTS)
+    return np.concatenate([_batch_rank(tensor_combine(c, m.actions, p), p) for c in rows])
+
+
+def _lex_positions(points: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """The positions in F_p^g, in lexicographic order, of c^T X for every
+    row c of points, X a (k, g) matrix or a stack of them: a module's
+    _rank_table read there is its profile restricted (X = W) or twisted
+    (X = F) at the points c."""
+    powers = p ** np.arange(x.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return _mul_arrays(points, x, p) @ powers
 
 
 @functools.lru_cache(maxsize=128)
-def _profile_index(a: Algebra, scope: str) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
-    """The points of F_p^g that the rank profiles of restrictions read, as
-    one (N, g) array of distinct points, and for each subalgebra s of
-    enumerate_proper_subalgebras(a, scope) the positions in it of c^T W for
-    c in _profile_points(s.as_algebra), W the rows of s's basis (None where
-    s has no profile).  Built once per (algebra, scope), like the lattice."""
+def _profile_index(a: Algebra, scope: str) -> tuple[np.ndarray | None, ...]:
+    """For each subalgebra s of enumerate_proper_subalgebras(a, scope), the
+    _lex_positions of c^T W for c in F_p^dim W in lexicographic order, W the
+    rows of s's basis, or None where s has no profile: restrict(m, s) lets
+    its generator i act by sum_j W_ij A_j, so its profile is m's _rank_table
+    read there.  Built once per (algebra, scope), like the lattice, one
+    product per dimension of W."""
     subs = enumerate_proper_subalgebras(a, scope)
-    images = []
-    for s in subs:
-        points = _profile_points(s.as_algebra)
-        images.append(None if points is None else _mul_arrays(points, s.w_basis.a, a.p))
-    kept = [x for x in images if x is not None]
-    if not kept:
-        return np.zeros((0, a.num_generators), dtype=np.int64), (None,) * len(subs)
-    points, inverse = np.unique(np.concatenate(kept), axis=0, return_inverse=True)
-    inverse, positions, start = inverse.reshape(-1), [], 0
-    points.setflags(write=False)
-    inverse.setflags(write=False)
-    for x in images:
-        positions.append(None if x is None else inverse[start : start + len(x)])
-        start += 0 if x is None else len(x)
-    return points, tuple(positions)
+    positions: list[np.ndarray | None] = [None] * len(subs)
+    for k in {s.dim_w for s in subs if _profiled(s.as_algebra)}:
+        idx = [i for i, s in enumerate(subs) if s.dim_w == k]
+        bases = np.stack([subs[i].w_basis.a for i in idx])
+        found = _lex_positions(lex_blocks(k, a.p, a.p**k)[0], bases, a.p)
+        found.setflags(write=False)
+        for i, pos in zip(idx, found):
+            positions[i] = pos
+    return tuple(positions)
 
 
-def _restriction_profiles(m: Module, scope: str) -> list[np.ndarray | None]:
-    """The rank profile of restrict(m, s) at _profile_points(s.as_algebra)
-    for each s of enumerate_proper_subalgebras(m.algebra, scope), or None
-    where it has none (W = 0, or p^dim W > _PROFILE_POINTS).
-
-    restrict(m, s) lets its generator i act by sum_j W_ij A_j, so at c its
-    rank is m's profile at c^T W: every profile is read from one table of
-    m's ranks at the distinct points the subalgebras need (_profile_index),
-    ranked in chunks of at most _PROFILE_POINTS points."""
-    points, positions = _profile_index(m.algebra, scope)
-    chunks = [
-        _rank_profile(m, points[start : start + _PROFILE_POINTS])
-        for start in range(0, len(points), _PROFILE_POINTS)
-    ]
-    table = np.concatenate(chunks) if chunks else None
-    return [None if pos is None else table[pos] for pos in positions]
-
-
-def _twisted_profiles(
-    profile: np.ndarray, points: np.ndarray, autos: AutomorphismGroup
-) -> Iterator[np.ndarray]:
+def _twisted_profiles(table: np.ndarray, autos: AutomorphismGroup) -> Iterator[np.ndarray]:
     """Rank profiles of twist(m, f) for every f of an rsz group, from m's
-    profile, as (K, p^g) chunks in enumeration order.
+    _rank_table, as (K, p^g) chunks in enumeration order.
 
     twist(m, f) lets generator i act by sum_j f_ij A_j, so at c it has the
-    rank of sum_j (c^T F)_j A_j: m's profile read at c^T F.
+    rank of sum_j (c^T F)_j A_j: m's table read at c^T F.
     """
-    mats, p = autos.payloads, autos.algebra.p
-    powers = p ** np.arange(points.shape[1] - 1, -1, -1, dtype=np.int64)
+    mats, g, p = autos.payloads, autos.algebra.num_generators, autos.algebra.p
+    points = lex_blocks(g, p, p**g)[0]
     chunk = max(1, _PROFILE_CELLS // points.size)
     for start in range(0, len(mats), chunk):
-        images = _mul_arrays(points, mats[start : start + chunk], p)
-        yield profile[images @ powers]
+        yield table[_lex_positions(points, mats[start : start + chunk], p)]
 
 
 def _profiles(m1: Module, m2: Module) -> tuple | None:
-    """(points, profile of m1, profile of m2), or None where rank profiles
-    are not compared."""
-    points = _profile_points(m1.algebra)
-    if points is None:
+    """The _rank_table of m1 and of m2, or None where rank profiles are not
+    compared."""
+    if not _profiled(m1.algebra):
         return None
-    return points, _rank_profile(m1, points), _rank_profile(m2, points)
+    return _rank_table(m1), _rank_table(m2)
 
 
 def _profile_survivors(profiles: tuple | None, autos: AutomorphismGroup) -> Iterator[int]:
@@ -415,9 +416,9 @@ def _profile_survivors(profiles: tuple | None, autos: AutomorphismGroup) -> Iter
     if profiles is None:
         yield from range(len(autos))
         return
-    points, r1, r2 = profiles
+    r1, r2 = profiles
     start = 0
-    for tw in _twisted_profiles(r2, points, autos):
+    for tw in _twisted_profiles(r2, autos):
         yield from (start + np.nonzero((tw == r1).all(axis=1))[0]).tolist()
         start += len(tw)
 
@@ -552,10 +553,10 @@ def t_orbit(
 
     autos = enumerate_automorphisms(m.algebra, budget)
     reps = [twist(m, autos[i]) for i in _twist_class_firsts(m, autos, same)]
-    points = _profile_points(m.algebra)
+    profiled = _profiled(m.algebra)
 
     def profile(x: Module) -> bytes:
-        return b"" if points is None else _rank_profile(x, points).tobytes()
+        return _rank_table(x).tobytes() if profiled else b""
 
     cand_profiles = [profile(cand) for cand in mods]
     unmatched = []
@@ -627,23 +628,21 @@ def rt_isomorphic(m1: Module, m2: Module, budget: int = DEFAULT_BUDGET) -> Equiv
     the identity would have been a Yes of that scan too, and a scan never
     stops the quantifier on a Yes, so the verdict, checked count, witness
     and note are those of a scan at every W.  The restrictions' rank
-    profiles are read from one table per module (_restriction_profiles) and
-    passed on to the scan.  A line of equal rank passes even where its scan
-    would be Undecided beyond the budget, since its restrictions are
-    isomorphic.
+    profiles are read from one table per module, as for r_isomorphic
+    (_profile_reader), and passed on to the scan.  A line of equal rank
+    passes even where its scan would be Undecided beyond the budget, since
+    its restrictions are isomorphic.
     """
     _same_algebra(m1, m2)
     _require_rsz(m1)
-    prof1, prof2 = _restriction_profiles(m1, "maximal"), _restriction_profiles(m2, "maximal")
+    read = _profile_reader("maximal", m1, m2)
 
     def decide(i: int, s) -> IsoResult | EquivVerdict:
-        points = _profile_points(s.as_algebra)
-        profiles = None if points is None else (points, prof1[i], prof2[i])
-        same = profiles is None or np.array_equal(prof1[i], prof2[i])
-        if same and profiles is not None and s.dim_w == 1 and m1.dim == m2.dim:
+        profiles = read(i)
+        if _equal_lines(s, m1, m2, profiles):
             return _EQUAL_RANK
         r1, r2 = restrict(m1, s), restrict(m2, s)
-        if same:
+        if _agree(profiles) is not False:
             res = is_isomorphic(r1, r2, budget)
             if res.verdict.is_yes:
                 return res

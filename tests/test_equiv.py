@@ -14,8 +14,8 @@ from modequiv.algebra import (
 )
 from modequiv.equiv import (
     EquivVerdict,
-    _profile_points,
-    _rank_profile,
+    _profiled,
+    _rank_table,
     _twisted_profiles,
     r_decomposable,
     r_distinct,
@@ -28,12 +28,14 @@ from modequiv.equiv import (
 )
 from modequiv.errors import UndecidedError, UnsupportedAlgebraKind
 from modequiv.families import INFINITY, band_module, c2, c3, fixture, jordan, k_module
-from modequiv.linalg import Mat, rand_invertible
+from modequiv.linalg import Mat, _mul_arrays, lex_blocks, rand_invertible
 from modequiv.modrep import (
+    IndecResult,
     Verdict,
     conjugate,
     direct_sum,
     hom_space,
+    is_indecomposable,
     is_isomorphic,
     module_validate,
     restrict,
@@ -136,6 +138,75 @@ def test_printed_rdec4_restriction_defect_is_stable():
         assert is_indecomposable(yz).verdict.is_yes
 
 
+# A restriction to a line is one square-zero n x n matrix of rank r, with
+# Jordan blocks J2^r + J1^(n - 2r): it is indecomposable iff n - r = 1.
+# r_decomposable settles the decomposable lines by rank and must agree with
+# a reference that runs is_indecomposable at every maximal subalgebra.
+
+
+def _ref_r_decomposable(m):
+    return _ref_quantify(
+        m, "maximal", lambda s: is_indecomposable(restrict(m, s)),
+        Verdict.YES, "restriction stays indecomposable",
+    )
+
+
+def _count_is_indecomposable(monkeypatch):
+    """The results of every is_indecomposable call r_decomposable makes."""
+    results = []
+
+    def counted(*args):
+        results.append(is_indecomposable(*args))
+        return results[-1]
+
+    monkeypatch.setattr(equiv, "is_indecomposable", counted)
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 6),
+    rank=st.integers(0, 3),
+    c=st.integers(0, 4),
+    seed=st.integers(0, 10**6),
+)
+def test_square_zero_line_is_indecomposable_iff_one_jordan_block(p, n, rank, c, seed):
+    rng, r = np.random.default_rng(seed), min(rank, n // 2)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[np.arange(r) + r, np.arange(r)] = 1
+    line = module_validate(make_rsz_algebra(1, p), [Mat(p, a)])
+    line = conjugate(line, rand_invertible(n, p, rng))
+    assert is_indecomposable(line).verdict is (Verdict.YES if n - r == 1 else Verdict.NO)
+    # over two generators acting by A and cA every line acts by a multiple of A
+    x = line.action[0]
+    m = module_validate(make_rsz_algebra(2, p), [x, x * (c % p)])
+    assert r_decomposable(m) == _ref_r_decomposable(m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_r_decomposable_settles_tame3_lines_by_rank(monkeypatch, p):
+    mods = fixture("tame3", p)[1]
+    want = [_ref_r_decomposable(m) for m in mods]
+    results = _count_is_indecomposable(monkeypatch)
+    assert [r_decomposable(m) for m in mods] == want
+    assert results == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_r_decomposable_witness_at_an_indecomposable_line_is_its_result(monkeypatch, p):
+    # K(0,1) has dimension 2 and its line span(X) acts with rank 1: one
+    # Jordan block J2, so that restriction is indecomposable
+    m = k_module(0, 1, p)
+    want = _ref_r_decomposable(m)
+    results = _count_is_indecomposable(monkeypatch)
+    res = r_decomposable(m)
+    assert res == want
+    assert res.verdict.is_no and res.witness[1].dim_w == 1
+    assert isinstance(res.witness[2], IndecResult) and res.witness[2] is results[-1]
+    assert res.witness[2].verdict.is_yes
+
+
 # -- restriction_function -------------------------------------------------------
 
 
@@ -236,9 +307,8 @@ def test_restriction_function_compares_only_equal_rank_profiles(monkeypatch):
     compared = []
 
     def checked(a, b, *args):
-        points = _profile_points(a.algebra)
-        if points is not None and a.action:
-            assert np.array_equal(_rank_profile(a, points), _rank_profile(b, points))
+        if _profiled(a.algebra) and a.action:
+            assert np.array_equal(_rank_table(a), _rank_table(b))
         compared.append((a, b))
         return is_isomorphic(a, b, *args)
 
@@ -347,8 +417,7 @@ def _ref_restriction_function(m, scope):
     labels = [f"s{i}" for i in range(len(restrictions))]
 
     def key(r):
-        points = _profile_points(r.algebra)
-        return (r.algebra,) if points is None else (r.algebra, _rank_profile(r, points).tobytes())
+        return (r.algebra, _rank_table(r).tobytes()) if _profiled(r.algebra) else (r.algebra,)
 
     keys = [key(r) for r in restrictions]
 
@@ -370,7 +439,7 @@ def _ref_rt_isomorphic(m1, m2):
     def decide(s):
         r1, r2 = restrict(m1, s), restrict(m2, s)
         profiles = equiv._profiles(r1, r2)
-        if profiles is None or np.array_equal(profiles[1], profiles[2]):
+        if profiles is None or np.array_equal(*profiles):
             res = is_isomorphic(r1, r2)
             if res.verdict.is_yes:
                 return res
@@ -421,8 +490,8 @@ def test_r_isomorphic_first_pass_past_a_yes_plane_with_equal_profiles():
 
     m1 = lift(direct_sum(k_module(0, 1, 3), k_module(1, 2, 3)))
     m2 = lift(direct_sum(k_module(0, 2, 3), k_module(1, 1, 3)))
-    agree = equiv._profile_agreement(m1, m2, "maximal")
-    assert all(agree(i) for i in range(13))
+    read = equiv._profile_reader("maximal", m1, m2)
+    assert all(equiv._agree(read(i)) for i in range(13))
     for scope, first_plane in (("maximal", 0), ("all", 14)):
         res = r_isomorphic(m1, m2, scope)
         assert res == _ref_r_isomorphic(m1, m2, scope)
@@ -437,13 +506,57 @@ def test_profiles_read_from_the_parent_equal_the_restrictions_own(name, p):
     for m in fixture(name, p)[1]:
         for scope in ("all", "maximal"):
             subs = enumerate_proper_subalgebras(m.algebra, scope)
-            gathered = equiv._restriction_profiles(m, scope)
-            assert len(gathered) == len(subs)
-            for s, prof in zip(subs, gathered):
-                points = _profile_points(s.as_algebra)
-                assert (prof is None) == (points is None) == (s.dim_w == 0)
-                if points is not None:
-                    assert np.array_equal(prof, _rank_profile(restrict(m, s), points))
+            assert len(equiv._profile_index(m.algebra, scope)) == len(subs)
+            read = equiv._profile_reader(scope, m)
+            for i, s in enumerate(subs):
+                prof = read(i)
+                assert (prof is None) == (not _profiled(s.as_algebra)) == (s.dim_w == 0)
+                if prof is not None:
+                    assert np.array_equal(prof[0], _rank_table(restrict(m, s)))
+
+
+def _gathered_index(a, scope):
+    """The index before one rank table: the distinct points c^T W that the
+    subalgebras' profiles need, gathered with np.unique, and each
+    subalgebra's positions among them (None where it has no profile)."""
+    subs = enumerate_proper_subalgebras(a, scope)
+    images = []
+    for s in subs:
+        k = s.dim_w
+        if k == 0 or a.p**k > equiv._PROFILE_POINTS:
+            images.append(None)
+        else:
+            images.append(_mul_arrays(lex_blocks(k, a.p, a.p**k)[0], s.w_basis.a, a.p))
+    kept = [x for x in images if x is not None]
+    if not kept:
+        return np.zeros((0, a.num_generators), dtype=np.int64), [None] * len(subs)
+    points, inverse = np.unique(np.concatenate(kept), axis=0, return_inverse=True)
+    inverse, positions, start = inverse.reshape(-1), [], 0
+    for x in images:
+        positions.append(None if x is None else inverse[start : start + len(x)])
+        start += 0 if x is None else len(x)
+    return points, positions
+
+
+@pytest.mark.parametrize("scope", ["all", "maximal"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_profile_index_equals_the_gathered_index(g, p, scope):
+    # the gathered points are F_p^g in lexicographic order (every c lies in
+    # some profiled subalgebra, and np.unique sorts), so their positions are
+    # the lexicographic ones of _profile_index
+    if (g, p, scope) == (4, 11, "all"):
+        pytest.skip("the reference gather over 19155 subalgebras takes seconds")
+    a = make_rsz_algebra(g, p)
+    points, gathered = _gathered_index(a, scope)
+    index = equiv._profile_index(a, scope)
+    if len(points):
+        assert np.array_equal(points, lex_blocks(g, p, p**g)[0])
+    assert len(index) == len(gathered)
+    for got, want in zip(index, gathered):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
 
 
 def test_restriction_function_past_one_rank_table():
@@ -664,16 +777,15 @@ def test_profile_filter_matches_unfiltered_search(p, g, with_no):
 def test_rank_profile_invariant_under_base_change_and_read_through_twists(p, g):
     rng = np.random.default_rng(7 * p + g)
     alg = make_rsz_algebra(g, p)
-    points = _profile_points(alg)
     autos = enumerate_automorphisms(alg)
     m = _random_rsz_module(alg, 2, 2, rng)
-    profile = _rank_profile(m, points)
+    profile = _rank_table(m)
     conj = conjugate(m, rand_invertible(m.dim, p, rng))
-    assert np.array_equal(_rank_profile(conj, points), profile)
-    twisted = np.concatenate(list(_twisted_profiles(profile, points, autos)))
+    assert np.array_equal(_rank_table(conj), profile)
+    twisted = np.concatenate(list(_twisted_profiles(profile, autos)))
     assert twisted.shape == (len(autos), p**g)
     for k in rng.choice(len(autos), size=min(len(autos), 40), replace=False):
-        assert np.array_equal(_rank_profile(twist(m, autos[k]), points), twisted[k])
+        assert np.array_equal(_rank_table(twist(m, autos[k])), twisted[k])
 
 
 def _reference_closure(m, mods):
@@ -824,7 +936,7 @@ def test_rt_isomorphic_falls_back_to_the_twist_scan(case):
     m1, m2 = pair()
     s = enumerate_proper_subalgebras(m1.algebra, "maximal")[plane]
     r1, r2 = restrict(m1, s), restrict(m2, s)
-    _, prof1, prof2 = equiv._profiles(r1, r2)
+    prof1, prof2 = equiv._profiles(r1, r2)
     assert np.array_equal(prof1, prof2) == equal_profiles
     assert is_isomorphic(r1, r2).verdict.is_no and t_isomorphic(r1, r2).verdict.is_yes
     got = rt_isomorphic(m1, m2)
