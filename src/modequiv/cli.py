@@ -1,9 +1,12 @@
 """Command-line surface.
 
 `modequiv check <kind> <inputs...>` runs one decision on module files or
-fixture references (`wild6.M1`-style).  `modequiv verify` runs the claim
-suite over the configured fields.  Exit codes: 0 yes/pass, 1 no, 2
-undecided, 3 input or usage error.
+fixture references (`wild6.M1`-style) and prints the fields of its result:
+the verdict, a note, and a witness where there is one.  An Undecided
+relation names the first subalgebra (or, for `tiso`, automorphism) left
+undecided as its witness and the reason as its note.  `modequiv verify`
+runs the claim suite over the configured fields.  Exit codes: 0 yes/pass,
+1 no, 2 undecided, 3 input or usage error.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import re
 import sys
 from pathlib import Path
 
-from .algebra import DEFAULT_BUDGET, enumerate_proper_subalgebras
+from .algebra import DEFAULT_BUDGET, Automorphism, enumerate_proper_subalgebras
 from .equiv import (
     EquivVerdict,
+    Partition,
+    TOrbitResult,
     r_decomposable,
     r_distinct,
     r_isomorphic,
@@ -27,22 +32,25 @@ from .equiv import (
 )
 from .errors import ModEquivError, SchemaError, UndecidedError
 from .families import FIXTURE_NAMES, fixture
-from .modrep import Module, Verdict, decompose, is_indecomposable, is_isomorphic
+from .modrep import IsoResult, Module, decompose, is_indecomposable, is_isomorphic
 from .serialize import module_from_dict
 from .verify import RunConfig, run_verification
 
-CHECK_KINDS = (
-    "iso",
-    "indec",
-    "decompose",
-    "riso",
-    "rdistinct",
-    "rdecomp",
-    "tiso",
-    "rtiso",
-    "torbit",
-    "resfn",
-)
+# kind -> (number of module inputs, None for one or more; the decision on
+# the inputs m and the parsed arguments a)
+_CHECKS = {
+    "iso": (2, lambda m, a: is_isomorphic(m[0], m[1], a.budget)),
+    "indec": (1, lambda m, a: is_indecomposable(m[0], a.budget)),
+    "decompose": (1, lambda m, a: decompose(m[0], a.budget)),
+    "riso": (2, lambda m, a: r_isomorphic(m[0], m[1], a.scope, a.budget)),
+    "rdistinct": (2, lambda m, a: r_distinct(m[0], m[1], a.scope, a.budget)),
+    "rdecomp": (1, lambda m, a: r_decomposable(m[0], a.budget)),
+    "tiso": (2, lambda m, a: t_isomorphic(m[0], m[1], a.budget)),
+    "rtiso": (2, lambda m, a: rt_isomorphic(m[0], m[1], a.budget)),
+    "torbit": (None, lambda m, a: t_orbit(m[0], m[1:], a.budget)),
+    "resfn": (1, lambda m, a: restriction_function(m[0], a.scope, a.budget)),
+}
+CHECK_KINDS = tuple(_CHECKS)
 
 _FIXTURE_REF = re.compile(r"^(\w+)\.M(\d+)$")
 
@@ -50,6 +58,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNDECIDED = 2
 EXIT_ERROR = 3
+_EXITS = {"yes": EXIT_YES, "no": EXIT_NO, "undecided": EXIT_UNDECIDED}
 
 
 def parse_inputs(paths: list[str], field: int) -> list[Module]:
@@ -75,23 +84,52 @@ def parse_inputs(paths: list[str], field: int) -> list[Module]:
     return modules
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return {Verdict.YES: EXIT_YES, Verdict.NO: EXIT_NO, Verdict.UNDECIDED: EXIT_UNDECIDED}[verdict]
-
-
-def _equiv_payload(res: EquivVerdict) -> dict:
-    out = {"verdict": res.verdict.value, "checked": res.checked}
-    if res.note:
-        out["note"] = res.note
-    if res.verdict.is_no and isinstance(res.witness, tuple) and len(res.witness) == 3:
-        idx, sub, _ = res.witness
-        out["witness"] = {"subalgebra_index": idx, "subalgebra": sub.label()}
-    if res.verdict.is_yes and isinstance(res.witness, tuple) and len(res.witness) == 2:
+def _witness(res: EquivVerdict) -> dict:
+    """The printed witness of a relation: the (automorphism, intertwiner)
+    of a twisted Yes, else the item of a No or Undecided scan, a subalgebra
+    by index and label or an automorphism."""
+    if res.is_yes:
         f, phi = res.witness
-        out["witness"] = {
-            "automorphism": f.describe(),
-            "intertwiner": [list(row) for row in phi.to_lists()],
+        return {"automorphism": f.describe(), "intertwiner": [list(row) for row in phi.to_lists()]}
+    idx, item, _ = res.witness
+    if isinstance(item, Automorphism):
+        return {"automorphism": item.describe()}
+    return {"subalgebra_index": idx, "subalgebra": item.label()}
+
+
+def _payload(res, mods: list[Module], args) -> dict:
+    """The printed fields of a decision result, by its type."""
+    if isinstance(res, list):
+        return {
+            "verdict": "yes",
+            "summand_dims": [part.dim for part in res],
+            "summands": [part.actions.tolist() for part in res],
         }
+    if isinstance(res, TOrbitResult):
+        return {
+            "verdict": "yes",
+            "classes": [list(cls) for cls in res.partition.classes],
+            "orbit_closed": res.closed,
+            "orbit_reps": len(res.orbit_reps),
+        }
+    if isinstance(res, Partition):
+        subs = enumerate_proper_subalgebras(mods[0].algebra, args.scope)
+        return {
+            "verdict": "yes",
+            "classes": [list(cls) for cls in res.classes],
+            "subalgebras": {f"s{i}": s.label() for i, s in enumerate(subs)},
+        }
+    if isinstance(res, EquivVerdict):
+        out = {"verdict": res.verdict.value, "checked": res.checked}
+        if res.note:
+            out["note"] = res.note
+        if res.witness is not None:
+            out["witness"] = _witness(res)
+        return out
+    out = {"verdict": res.verdict.value, "note": res.note}
+    witness = res.witness if isinstance(res, IsoResult) else res.idempotent
+    if witness is not None:
+        out["witness"] = witness.to_lists()
     return out
 
 
@@ -117,99 +155,23 @@ def cmd_check(args) -> int:
         _, fixture_mods = fixture(args.fixture, args.field)
         inputs = [f"{args.fixture}.M{i + 1}" for i in range(len(fixture_mods))]
     mods = parse_inputs(inputs, args.field)
-    structured = args.report == "structured"
+    count, decide = _CHECKS[args.kind]
+    if len(mods) != count if count else not mods:
+        need = f"exactly {count}" if count else "at least one"
+        raise SchemaError(f"{args.kind} needs {need} module input(s), got {len(mods)}")
     try:
-        return _run_check(args.kind, mods, args, structured)
+        payload = _payload(decide(mods, args), mods, args)
     except UndecidedError as exc:
         # decompose, torbit and resfn raise it for an undecided comparison inside
-        _emit({"verdict": "undecided", "note": str(exc)}, structured)
-        return EXIT_UNDECIDED
-
-
-def _run_check(kind: str, mods: list[Module], args, structured: bool) -> int:
-    budget = args.budget
-
-    def need(count: int):
-        if len(mods) != count:
-            raise SchemaError(f"{kind} needs exactly {count} module input(s), got {len(mods)}")
-
-    if kind == "iso":
-        need(2)
-        res = is_isomorphic(mods[0], mods[1], budget)
-        payload = {"verdict": res.verdict.value, "note": res.note}
-        if res.witness is not None:
-            payload["witness"] = res.witness.to_lists()
-        _emit(payload, structured)
-        return _verdict_exit(res.verdict)
-    if kind == "indec":
-        need(1)
-        res = is_indecomposable(mods[0], budget)
-        payload = {"verdict": res.verdict.value, "note": res.note}
-        if res.idempotent is not None:
-            payload["witness"] = res.idempotent.to_lists()
-        _emit(payload, structured)
-        return _verdict_exit(res.verdict)
-    if kind == "decompose":
-        need(1)
-        parts = decompose(mods[0], budget)
-        payload = {
-            "verdict": "yes",
-            "summand_dims": [part.dim for part in parts],
-            "summands": [part.actions.tolist() for part in parts],
-        }
-        _emit(payload, structured)
-        return EXIT_YES
-    if kind in ("riso", "rdistinct", "rtiso"):
-        need(2)
-        if kind == "riso":
-            res = r_isomorphic(mods[0], mods[1], args.scope, budget)
-        elif kind == "rdistinct":
-            res = r_distinct(mods[0], mods[1], args.scope, budget)
-        else:
-            res = rt_isomorphic(mods[0], mods[1], budget)
-        _emit(_equiv_payload(res), structured)
-        return _verdict_exit(res.verdict)
-    if kind == "rdecomp":
-        need(1)
-        res = r_decomposable(mods[0], budget)
-        _emit(_equiv_payload(res), structured)
-        return _verdict_exit(res.verdict)
-    if kind == "tiso":
-        need(2)
-        res = t_isomorphic(mods[0], mods[1], budget)
-        _emit(_equiv_payload(res), structured)
-        return _verdict_exit(res.verdict)
-    if kind == "torbit":
-        if len(mods) < 1:
-            raise SchemaError("torbit needs at least one module input")
-        res = t_orbit(mods[0], mods[1:], budget)
-        payload = {
-            "verdict": "yes",
-            "classes": [list(cls) for cls in res.partition.classes],
-            "orbit_closed": res.closed,
-            "orbit_reps": len(res.orbit_reps),
-        }
-        _emit(payload, structured)
-        return EXIT_YES
-    if kind == "resfn":
-        need(1)
-        part = restriction_function(mods[0], args.scope, budget)
-        subs = enumerate_proper_subalgebras(mods[0].algebra, args.scope)
-        payload = {
-            "verdict": "yes",
-            "classes": [list(cls) for cls in part.classes],
-            "subalgebras": {f"s{i}": s.label() for i, s in enumerate(subs)},
-        }
-        _emit(payload, structured)
-        return EXIT_YES
-    raise SchemaError(f"unknown check kind {kind!r}")
+        payload = {"verdict": "undecided", "note": str(exc)}
+    _emit(payload, args.report == "structured")
+    return _EXITS[payload["verdict"]]
 
 
 def cmd_verify(args) -> int:
     cfg = RunConfig(
         fields=tuple(args.fields),
         budget=args.budget,
-        seed=args.seed,
         report=args.report,
         timing=args.timing,
     )
@@ -251,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the full claim-verification suite")
     verify.add_argument("--fields", type=int, nargs="+", default=[2, 3, 5])
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--seed", type=int, default=0, help="seeds the algebra-laws corpus only")
     verify.add_argument("--report", choices=("text", "structured"), default="text")
     verify.add_argument(
         "--timing",

@@ -71,7 +71,8 @@ class EquivVerdict:
 
     witness holds the first failing subalgebra for universal relations, or
     the (automorphism, intertwiner) pair for an existential Yes; checked is
-    the number of enumerated items examined.
+    the number of enumerated items examined.  An Undecided holds the first
+    undecided item as its witness and that item's reason as its note.
     """
 
     verdict: Verdict
@@ -125,8 +126,8 @@ def _scan(items, decide, stop: Verdict, found: EquivVerdict, default: EquivVerdi
     Decides the (index, item) pairs in order, by decide(index, item).  The
     first whose verdict is `stop` gives `found` with witness (index, item,
     result) and checked = index + 1; failing that, the first Undecided gives
-    Undecided with that witness; failing that, `default`.  Both carry
-    checked = total.
+    Undecided with that witness and its result's note, the reason; failing
+    that, `default`.  Both carry checked = total.
     """
     undecided = None
     for idx, item in items:
@@ -136,7 +137,8 @@ def _scan(items, decide, stop: Verdict, found: EquivVerdict, default: EquivVerdi
         if res.verdict.is_undecided and undecided is None:
             undecided = (idx, item, res)
     if undecided is not None:
-        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, checked=total)
+        note = undecided[2].note
+        return EquivVerdict(Verdict.UNDECIDED, witness=undecided, note=note, checked=total)
     return replace(default, checked=total)
 
 
@@ -333,7 +335,7 @@ def restriction_function(
 
 # Rank profiles are compared while F_p^g has at most this many points (g the
 # number of generators, dim W for a restriction), a module's table of ranks
-# is computed in chunks of at most this many points, and the automorphisms
+# is computed in batches of at most this many points, and the automorphisms
 # are scanned in chunks whose (K, p^g, g) image arrays stay near
 # _PROFILE_CELLS entries: larger chunks were no faster and raised the peak
 # memory of a process by megabytes.
@@ -348,13 +350,25 @@ def _profiled(a: Algebra) -> bool:
     return a.kind == RSZ and g > 0 and a.p**g <= _PROFILE_POINTS
 
 
+def _lex_batches(g: int, p: int) -> Iterator[np.ndarray]:
+    """F_p^g in lexicographic order as arrays of at most _PROFILE_POINTS
+    points: consecutive lex_rows blocks, stacked while they fit."""
+    batch: list[np.ndarray] = []
+    for rows in lex_rows(g, p, _PROFILE_POINTS):
+        if batch and sum(map(len, batch)) + len(rows) > _PROFILE_POINTS:
+            yield np.concatenate(batch)
+            batch = []
+        batch.append(rows)
+    yield np.concatenate(batch)
+
+
 def _rank_table(m: Module) -> np.ndarray:
     """m's rank profile: rank(sum_i c_i A_i) at every c of F_p^g in
-    lexicographic order, A_i the action of generator i, ranked in chunks of
-    at most _PROFILE_POINTS points."""
+    lexicographic order, A_i the action of generator i, ranked one
+    _lex_batches batch at a time."""
     p = m.algebra.p
-    rows = lex_rows(m.algebra.num_generators, p, _PROFILE_POINTS)
-    return np.concatenate([_batch_rank(tensor_combine(c, m.actions, p), p) for c in rows])
+    batches = _lex_batches(m.algebra.num_generators, p)
+    return np.concatenate([_batch_rank(tensor_combine(c, m.actions, p), p) for c in batches])
 
 
 def _lex_positions(points: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:

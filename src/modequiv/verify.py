@@ -2,8 +2,10 @@
 
 Eleven claims, each decided exactly over the configured prime fields.  A
 claim runs at every configured field; enumeration spaces beyond the budget
-yield SKIPPED, undecidable comparisons yield UNDECIDED, and a refuted
-statement yields FAIL with the witness in the detail column.
+yield SKIPPED, and a refuted statement yields FAIL with the witness in the
+detail column.  Every verdict a claim reads goes through _expect, so a
+decision left Undecided within the budget yields UNDECIDED, never FAIL,
+with what was compared and the decision's own reason in the detail.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
 from .families import INFINITY, b_blowup, band_module, c2, c3, fixture, jordan, k_module
 from .linalg import Mat, check_prime, rand_invertible, rand_mat
 from .modrep import (
+    Verdict,
     conjugate,
     decompose,
     direct_sum,
@@ -69,7 +72,6 @@ class ClaimFailure(Exception):
 class RunConfig:
     fields: tuple[int, ...] = (2, 3, 5)
     budget: int = DEFAULT_BUDGET
-    seed: int = 0
     report: str = "text"
     timing: bool = False
 
@@ -132,16 +134,26 @@ class Report:
 # -- claim implementations ---------------------------------------------------
 
 
+def _expect(res, want: Verdict, failure, undecided: str = ""):
+    """res, if its verdict is `want`.  An Undecided raises UndecidedError
+    with `undecided` (what was compared) and res.note (why), whichever are
+    given; any other verdict raises ClaimFailure with `failure`, a message
+    or a function of res giving one."""
+    if res.verdict.is_undecided:
+        raise UndecidedError(f"{undecided}: {res.note}" if undecided else res.note)
+    if res.verdict is not want:
+        raise ClaimFailure(failure(res) if callable(failure) else failure)
+    return res
+
+
 def _claim_tame_pair(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("tame3", p)
     if (socle_dim(m1), socle_dim(m2)) != (1, 2):
         raise ClaimFailure(f"socle dims {(socle_dim(m1), socle_dim(m2))} != (1, 2)")
     iso = is_isomorphic(m1, m2, cfg.budget)
-    if not iso.verdict.is_no:
-        raise ClaimFailure(f"expected non-isomorphic pair, got {iso.verdict.value}")
+    _expect(iso, Verdict.NO, "expected non-isomorphic pair, got yes", "isomorphism")
     riso = r_isomorphic(m1, m2, "all", cfg.budget)
-    if not riso.verdict.is_yes:
-        raise ClaimFailure(f"restriction-isomorphism verdict {riso.verdict.value}")
+    _expect(riso, Verdict.YES, "restriction-isomorphism verdict no", "restriction comparison")
     if riso.checked != p + 2:
         raise ClaimFailure(f"expected {p + 2} proper subalgebras, saw {riso.checked}")
     for m in (m1, m2):
@@ -159,13 +171,9 @@ def _claim_tame_pair(cfg: RunConfig, p: int) -> str:
 def _claim_wild_pair(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("wild6", p)
     iso = is_isomorphic(m1, m2, cfg.budget)
-    if iso.verdict.is_undecided:
-        raise UndecidedError(f"plain isomorphism undecided: {iso.note}")
-    if not iso.verdict.is_no:
-        raise ClaimFailure("expected non-isomorphic pair")
+    _expect(iso, Verdict.NO, "expected non-isomorphic pair", "plain isomorphism undecided")
     riso = r_isomorphic(m1, m2, "all", cfg.budget)
-    if not riso.verdict.is_yes:
-        raise ClaimFailure(f"restriction-isomorphism verdict {riso.verdict.value}")
+    _expect(riso, Verdict.YES, "restriction-isomorphism verdict no", "restriction comparison")
     expected = sum(1 for _ in enumerate_proper_subalgebras(m1.algebra, "all"))
     if p == 2 and riso.checked != 15:
         raise ClaimFailure(f"expected 15 proper subalgebras at p=2, saw {riso.checked}")
@@ -174,37 +182,31 @@ def _claim_wild_pair(cfg: RunConfig, p: int) -> str:
 
 def _claim_indec_rdec(cfg: RunConfig, p: int) -> str:
     _, (m,) = fixture("rdec4", p)
-    ind = is_indecomposable(m, cfg.budget)
-    if ind.verdict.is_undecided:
-        raise UndecidedError(ind.note)
-    if not ind.verdict.is_yes:
-        raise ClaimFailure("expected an indecomposable module")
+    _expect(is_indecomposable(m, cfg.budget), Verdict.YES, "expected an indecomposable module")
     maximal = enumerate_proper_subalgebras(m.algebra, "maximal")
     if len(maximal) != p * p + p + 1:
         raise ClaimFailure(f"expected {p * p + p + 1} maximal subalgebras, saw {len(maximal)}")
     rdec = r_decomposable(m, cfg.budget)
-    if rdec.verdict.is_undecided:
-        raise UndecidedError(rdec.note)
-    if not rdec.verdict.is_yes:
-        idx, s, _ = rdec.witness
-        raise ClaimFailure(
-            f"restriction to {s.label()} is indecomposable (its pencil is the "
-            f"2n-dimensional two-generator family member), refuting R-decomposability"
-        )
+    _expect(
+        rdec,
+        Verdict.YES,
+        lambda r: f"restriction to {r.witness[1].label()} is indecomposable (its pencil is the "
+        f"2n-dimensional two-generator family member), refuting R-decomposability",
+    )
     return f"indecomposable and R-decomposable over {rdec.checked} maximal subalgebras"
 
 
 def _claim_r_distinct(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("rdist4", p)
     rmax = r_distinct(m1, m2, "maximal", cfg.budget)
-    if rmax.verdict.is_undecided:
-        raise UndecidedError("maximal-scope comparison undecided")
-    if not rmax.verdict.is_yes:
-        _, s, _ = rmax.witness
-        raise ClaimFailure(f"restrictions isomorphic at {s.label()}")
+    _expect(
+        rmax,
+        Verdict.YES,
+        lambda r: f"restrictions isomorphic at {r.witness[1].label()}",
+        "scope=maximal",
+    )
     rall = r_distinct(m1, m2, "all", cfg.budget)
-    if not rall.verdict.is_no:
-        raise ClaimFailure(f"scope=all verdict {rall.verdict.value}, expected no at W=0")
+    _expect(rall, Verdict.NO, "scope=all verdict yes, expected no at W=0", "scope=all")
     _, s, _ = rall.witness
     if s.dim_w != 0:
         raise ClaimFailure(f"scope=all witness {s.label()}, expected W=0")
@@ -217,15 +219,10 @@ def _claim_r_distinct(cfg: RunConfig, p: int) -> str:
 def _claim_riso_not_tiso(cfg: RunConfig, p: int) -> str:
     _, (m1, m2) = fixture("rnott6", p)
     riso = r_isomorphic(m1, m2, "all", cfg.budget)
-    if riso.verdict.is_undecided:
-        raise UndecidedError("restriction comparison undecided")
-    if not riso.verdict.is_yes:
-        raise ClaimFailure(f"R-isomorphism verdict {riso.verdict.value}")
+    _expect(riso, Verdict.YES, "R-isomorphism verdict no", "restriction comparison")
     tiso = t_isomorphic(m1, m2, cfg.budget)
-    if tiso.verdict.is_undecided:
-        raise UndecidedError("twist comparison undecided")
-    if not tiso.verdict.is_no:
-        raise ClaimFailure("pair is twist-isomorphic, refuting the separation")
+    refuted = "pair is twist-isomorphic, refuting the separation"
+    _expect(tiso, Verdict.NO, refuted, "twist comparison")
     n_autos = len(enumerate_automorphisms(m1.algebra, cfg.budget))
     if p == 2 and n_autos != 168:
         raise ClaimFailure(f"expected 168 automorphisms at p=2, saw {n_autos}")
@@ -257,8 +254,8 @@ def _claim_two_generator_orbit(cfg: RunConfig, p: int) -> str:
         if len(res.partition) != 1:
             raise ClaimFailure(f"n={n}: {len(res.partition)} twist classes, expected 1")
         sw = is_isomorphic(k_module(0, n, p), twist(k_module(INFINITY, n, p), swap), cfg.budget)
-        if not sw.verdict.is_yes:
-            raise ClaimFailure(f"n={n}: swap does not carry the infinity member to lambda=0")
+        what = f"n={n}: swap"
+        _expect(sw, Verdict.YES, f"{what} does not carry the infinity member to lambda=0", what)
         details.append(f"n={n}: {len(fam)} members in one class (closure: {res.closed})")
     _, (m1, m2) = fixture("tame3", p)
     res = t_orbit(m1, [m2], cfg.budget, closure=False)
@@ -276,8 +273,8 @@ def _claim_band_scaling(cfg: RunConfig, p: int) -> str:
             f = autos[(False, a)]
             target = band_module((a * a * lam) % p, p)
             res = is_isomorphic(twist(band_module(lam, p), f), target, cfg.budget)
-            if not res.verdict.is_yes:
-                raise ClaimFailure(f"twist by Y->{a}Y of B({lam}) is not B({a * a * lam % p})")
+            what = f"twist by Y->{a}Y of B({lam})"
+            _expect(res, Verdict.YES, f"{what} is not B({a * a * lam % p})", what)
     base = band_module(1, p)
     try:
         b_blowup(base.action[0], base.action[1], 2, alg)
@@ -302,24 +299,15 @@ def _claim_semidihedral(cfg: RunConfig, p: int) -> str:
         module_validate(alg, [Mat.basis(2, 2, 1, p), Mat.basis(2, 2, 1, p, value=lam)])
         for lam in range(p)
     ] + [module_validate(alg, [Mat.zeros(2, 2, p), Mat.basis(2, 2, 1, p)])]
-    for m in family:
-        ind = is_indecomposable(m, cfg.budget)
-        if ind.verdict.is_undecided:
-            raise UndecidedError(ind.note)
-        if not ind.verdict.is_yes:
-            raise ClaimFailure("family member decomposes")
+    for k, m in enumerate(family):
+        res = is_indecomposable(m, cfg.budget)
+        _expect(res, Verdict.YES, "family member decomposes", f"member {k}")
     for i, j in itertools.combinations(range(len(family)), 2):
         res = is_isomorphic(family[i], family[j], cfg.budget)
-        if res.verdict.is_undecided:
-            raise UndecidedError(res.note)
-        if not res.verdict.is_no:
-            raise ClaimFailure(f"family members {i} and {j} are isomorphic")
+        _expect(res, Verdict.NO, f"family members {i} and {j} are isomorphic", f"members {i}, {j}")
     _, (m1, m2) = fixture("semidih2", p)
     tiso = t_isomorphic(m1, m2, cfg.budget)
-    if tiso.verdict.is_undecided:
-        raise UndecidedError("twist comparison undecided")
-    if not tiso.verdict.is_no:
-        raise ClaimFailure("the two family endpoints are twist-isomorphic")
+    _expect(tiso, Verdict.NO, "the two family endpoints are twist-isomorphic", "twist comparison")
     return (
         f"table associative; {len(autos)} automorphisms, all with zero y-coefficient and "
         f"a unit x-coefficient in f(x); {len(family)} family members pairwise distinct; "
@@ -341,10 +329,8 @@ def _claim_c_families(cfg: RunConfig, p: int) -> str:
             ],
         )
         res = t_isomorphic(m, base, cfg.budget)
-        if res.verdict.is_undecided:
-            raise UndecidedError(f"c2({a},{b}) comparison undecided")
-        if not res.verdict.is_yes:
-            raise ClaimFailure(f"c2({a},{b}) is not twist-isomorphic to the basepoint")
+        what = f"c2({a},{b})"
+        _expect(res, Verdict.YES, f"{what} is not twist-isomorphic to the basepoint", what)
     triples = list(itertools.product(range(1, p), repeat=3))
     mods = [c3(a, b, g, p) for a, b, g in triples]
     res = t_orbit(mods[0], mods[1:], cfg.budget, closure=False)
@@ -389,7 +375,7 @@ def _corpus(p: int, budget: int) -> dict:
 
 
 def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
-    rng = np.random.default_rng(cfg.seed * 1009 + p)
+    rng = np.random.default_rng(p)
     groups = _corpus(p, cfg.budget)
     mods = [m for group in groups.values() for m in group]
 
@@ -412,16 +398,16 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
             trials += 1
             continue
         pmat = rand_invertible(m.dim, p, rng)
-        if not is_isomorphic(m, conjugate(m, pmat), cfg.budget).verdict.is_yes:
-            raise ClaimFailure(f"conjugate of {m!r} not recognized as isomorphic")
+        res = is_isomorphic(m, conjugate(m, pmat), cfg.budget)
+        _expect(res, Verdict.YES, f"conjugate of {m!r} not recognized as isomorphic", f"{m!r}")
         trials += 1
     for m in groups[make_rsz_algebra(2, p)][:2]:
         pmat = rand_invertible(m.dim, p, rng)
         conj = conjugate(m, pmat)
-        if not r_isomorphic(m, conj, "all", cfg.budget).verdict.is_yes:
-            raise ClaimFailure("restriction relation is finer than isomorphism")
-        if not t_isomorphic(m, conj, cfg.budget).verdict.is_yes:
-            raise ClaimFailure("twist relation is finer than isomorphism")
+        res = r_isomorphic(m, conj, "all", cfg.budget)
+        _expect(res, Verdict.YES, "restriction relation is finer than isomorphism", f"{m!r}")
+        res = t_isomorphic(m, conj, cfg.budget)
+        _expect(res, Verdict.YES, "twist relation is finer than isomorphism", f"{m!r}")
 
     # twist laws over enumerated automorphism pairs: exhaustive when the pair
     # space is small (it is at p=2), seeded sampling beyond that
@@ -488,8 +474,8 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
     total = parts[0]
     for part in parts[1:]:
         total = direct_sum(total, part)
-    if not is_isomorphic(direct_sum(sample, sample), total, cfg.budget).verdict.is_yes:
-        raise ClaimFailure("decomposition does not reassemble up to isomorphism")
+    res = is_isomorphic(direct_sum(sample, sample), total, cfg.budget)
+    _expect(res, Verdict.YES, "decomposition does not reassemble up to isomorphism", "reassembly")
 
     # restriction is independent of the basis chosen for W
     rsz_algs = [make_rsz_algebra(2, p), make_rsz_algebra(3, p)]
@@ -503,10 +489,12 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
         rebased = Subalgebra.from_basis(alg, change @ s.w_basis)
         m1 = group[int(rng.integers(0, len(group)))]
         m2 = group[int(rng.integers(0, len(group)))]
-        v1 = is_isomorphic(restrict(m1, s), restrict(m2, s), cfg.budget).verdict
-        v2 = is_isomorphic(restrict(m1, rebased), restrict(m2, rebased), cfg.budget).verdict
-        if v1 != v2:
-            raise ClaimFailure(f"restriction verdict depends on the basis of {s.label()}")
+        # an Undecided at either basis is UNDECIDED, unequal verdicts a FAIL
+        what = s.label()
+        first = is_isomorphic(restrict(m1, s), restrict(m2, s), cfg.budget)
+        _expect(first, first.verdict, "", what)
+        res = is_isomorphic(restrict(m1, rebased), restrict(m2, rebased), cfg.budget)
+        _expect(res, first.verdict, f"restriction verdict depends on the basis of {what}", what)
         checks += 1
 
     return (

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from modequiv import equiv, verify
 from modequiv.algebra import (
     enumerate_proper_subalgebras,
     make_rsz_algebra,
@@ -11,7 +12,7 @@ from modequiv.cli import main, parse_inputs
 from modequiv.errors import SchemaError
 from modequiv.families import fixture, jordan, k_module
 from modequiv.linalg import Mat
-from modequiv.modrep import restrict
+from modequiv.modrep import IsoResult, Verdict, restrict
 from modequiv.serialize import (
     algebra_from_dict,
     algebra_to_dict,
@@ -205,6 +206,26 @@ def test_cli_indec_and_rdecomp(capsys):
     assert main(["check", "rdecomp", "rdec4.M1"]) == 1
 
 
+def test_cli_undecided_relation_names_the_subalgebra_and_the_reason(capsys):
+    assert main(["check", "rdecomp", "rdec4.M1", "--field", "3", "--budget", "4"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "UNDECIDED  End space of dim 6, 2 modulo a square-zero ideal, exceeds budget 4",
+        "checked: 13",
+        'witness: {"subalgebra": "W<1,0,1; 0,1,0>", "subalgebra_index": 3}',
+    ]
+
+
+def test_cli_undecided_twist_scan_names_the_automorphism(capsys, monkeypatch):
+    monkeypatch.setattr(
+        equiv, "_iso_from_hom", lambda *a: IsoResult(Verdict.UNDECIDED, note="search cut short")
+    )
+    argv = ["check", "tiso", "tame3.M1", "tame3.M1", "--report", "structured"]
+    assert main(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "undecided" and payload["note"] == "search cut short"
+    assert payload["witness"]["automorphism"].startswith("gen-matrix")
+
+
 def test_cli_tiso_structured_witness(capsys):
     code = main(
         ["check", "tiso", "tame3.M1", "tame3.M1", "--report", "structured"]
@@ -251,10 +272,16 @@ def test_cli_verify_structured_deterministic(verify_run, verify_golden):
     assert all(rec["elapsed_ms"] is None for rec in payload["claims"])
 
 
-def test_cli_verify_timing_flag(capsys):
+def test_cli_verify_timing_flag(capsys, monkeypatch):
+    # one cheap claim is enough to see the timings printed
+    monkeypatch.setattr(verify, "CLAIM_IDS", ("tame-pair",))
     assert main(["verify", "--fields", "2", "--report", "structured", "--timing"]) in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert any(rec["elapsed_ms"] is not None for rec in payload["claims"])
+
+
+def test_cli_verify_has_no_seed_option(capsys):
+    assert main(["verify", "--fields", "2", "--seed", "1"]) == 3
 
 
 def test_cli_fixture_flag(capsys):

@@ -788,6 +788,32 @@ def test_rank_profile_invariant_under_base_change_and_read_through_twists(p, g):
         assert np.array_equal(_rank_table(twist(m, autos[k])), twisted[k])
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_rank_table_equals_the_rank_at_every_point(p, g):
+    m = _random_rsz_module(make_rsz_algebra(g, p), 2, 2, np.random.default_rng(11 * p + g))
+    want = [
+        Mat(p, sum(c * a for c, a in zip(point, m.actions))).rank()
+        for point in itertools.product(range(p), repeat=g)
+    ]
+    assert _rank_table(m).tolist() == want
+
+
+def test_rank_table_stacks_lex_blocks_into_few_batches(monkeypatch):
+    # lex_rows gives F_11^3 as 11 blocks of 121 points; stacked up to 1024
+    # points they are two batches
+    m = _random_rsz_module(make_rsz_algebra(3, 11), 2, 2, np.random.default_rng(0))
+    calls, rank = [], equiv._batch_rank
+
+    def counted(batch, p):
+        calls.append(len(batch))
+        return rank(batch, p)
+
+    monkeypatch.setattr(equiv, "_batch_rank", counted)
+    assert len(_rank_table(m)) == 11**3
+    assert calls == [968, 363]
+
+
 def _reference_closure(m, mods):
     """Orbit closure with a full isomorphism test for every comparison."""
     reps, matched = [], []
