@@ -25,7 +25,7 @@ from .errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, inv_mod, tensor_combine
+from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, tensor_combine
 from .linalg import lex_blocks, lex_rows
 
 RSZ = "rsz"
@@ -414,14 +414,6 @@ def make_semidihedral_algebra(p: int) -> Algebra:
     return alg
 
 
-def _generator_words(a: Algebra) -> list[int]:
-    """The basis index of each generator of a table algebra."""
-    for i in range(a.num_generators):
-        if (i,) not in a.basis_words:
-            raise TableInconsistent(f"generator {i} is not a basis word")
-    return [a.basis_words.index((i,)) for i in range(a.num_generators)]
-
-
 def algebra_validate(a: Algebra) -> Algebra:
     """Certify a table algebra: two-sided unit, associativity on all basis
     triples, and the listed relations evaluating to zero."""
@@ -441,7 +433,7 @@ def algebra_validate(a: Algebra) -> Algebra:
         raise TableInconsistent(
             f"associativity fails on basis triple {tuple(int(x) for x in bad)}"
         )
-    gens = eye[_generator_words(a)]
+    gens = eye[_generator_positions(a)]
     for rel in a.relations:
         if a.element_of_poly(rel, gens).any():
             raise TableInconsistent(f"relation {rel!r} does not vanish in the table")
@@ -537,6 +529,30 @@ def image_words(a: Algebra) -> tuple[tuple[int, ...], ...]:
     return tuple((i,) for i in range(a.num_generators))
 
 
+def _generator_positions(a: Algebra) -> list[int]:
+    """The position of each generator's word (i,) in image_words(a)."""
+    words = image_words(a)
+    for i in range(a.num_generators):
+        if (i,) not in words:
+            raise TableInconsistent(f"generator {i} is not a basis word")
+    return [words.index((i,)) for i in range(a.num_generators)]
+
+
+def _coefficient_rows(a: Algebra, payloads: np.ndarray) -> np.ndarray:
+    """The (..., n_gens, W) generator images over the W words of
+    image_words(a) of a batch of payloads laid out as in a group's payload
+    array; for rsz and table algebras they are the payloads themselves."""
+    if a.kind == FREE_UNIVARIATE:
+        return payloads[..., None, ::-1]  # X -> aX + b over the words (1, X)
+    if a.kind == DIHEDRAL:
+        # X -> X, Y -> aY, or with the swap X -> Y, Y -> aX
+        eye = np.eye(2, dtype=np.int64)
+        rows = np.where(payloads[..., 0, None, None], eye[::-1], eye)
+        rows[..., 1, :] *= payloads[..., 1, None]
+        return rows
+    return payloads
+
+
 @dataclass(frozen=True)
 class Automorphism:
     """An algebra automorphism, stored as its kind-specific canonical form.
@@ -553,13 +569,9 @@ class Automorphism:
     def coefficients(self) -> np.ndarray:
         """(n_gens, W) array: row i holds generator i's image over the W
         words of image_words(algebra)."""
-        a, rows = self.algebra, self.payload
-        if a.kind == FREE_UNIVARIATE:
-            rows = [rows[::-1]]  # X -> aX + b over the words (1, X)
-        elif a.kind == DIHEDRAL:
-            swap, scale = rows
-            rows = [[0, 1], [scale, 0]] if swap else [[1, 0], [0, scale]]
-        return np.array(rows, dtype=np.int64).reshape(a.num_generators, len(image_words(a))) % a.p
+        a = self.algebra
+        rows = _coefficient_rows(a, np.array(self.payload, dtype=np.int64))
+        return rows.reshape(a.num_generators, len(image_words(a))) % a.p
 
     @property
     def induced(self) -> Mat:
@@ -625,27 +637,6 @@ def _table_automorphisms(a: Algebra, gens: np.ndarray) -> np.ndarray:
     for rel in a.relations:
         gens = gens[:, ~a.element_of_poly(rel, gens).any(axis=-1)]
     return gens[:, _batch_invertible(_induced(a, gens), a.p)].swapaxes(0, 1)
-
-
-def _table_automorphism(a: Algebra, gen_vecs: Sequence[np.ndarray], what: str) -> Automorphism:
-    """The table automorphism with the given generator images; raises
-    TableInconsistent, naming `what`, if they define none."""
-    found = _table_automorphisms(a, np.asarray(gen_vecs, dtype=np.int64)[:, None] % a.p)
-    if not len(found):
-        raise TableInconsistent(f"{what} failed validation")
-    return _from_payload(a, found[0])
-
-
-def identity_automorphism(a: Algebra) -> Automorphism:
-    if a.kind == RSZ:
-        return _from_payload(a, np.eye(a.num_generators))
-    if a.kind == FREE_UNIVARIATE:
-        return _from_payload(a, (1, 0))
-    if a.kind == DIHEDRAL:
-        return _from_payload(a, (0, 1))
-    if a.kind == TABLE:
-        return _from_payload(a, np.eye(len(a.basis_labels))[_generator_words(a)])
-    raise UnsupportedAlgebraKind(a.kind)
 
 
 def _check_budget(a: Algebra, budget: int):
@@ -718,54 +709,57 @@ def _automorphism_group(a: Algebra) -> AutomorphismGroup:
 enumerate_automorphisms.cache_info = _automorphism_group.cache_info
 
 
+def _substitution(a: Algebra, coefficients: np.ndarray) -> np.ndarray:
+    """S_f for a (..., n_gens, W) batch of coefficient rows: the (..., W, W)
+    arrays whose row w is f's image of word w of image_words(a).  f maps the
+    element with coordinates v over those words to v S_f."""
+    if a.kind == TABLE:
+        return _induced(a, np.moveaxis(coefficients, -2, 0)).swapaxes(-1, -2)
+    if a.kind == FREE_UNIVARIATE:
+        unit = np.broadcast_to(np.eye(1, 2, dtype=np.int64), coefficients.shape)  # f(1) = 1
+        return np.concatenate([unit, coefficients], axis=-2)
+    return coefficients
+
+
+def _from_coefficients(a: Algebra, rows: np.ndarray, what: str) -> Automorphism:
+    """The automorphism with (n_gens, W) residue rows, the inverse of
+    Automorphism.coefficients; raises UnsupportedAlgebraKind, naming `what`,
+    where dihedral rows leave the implemented families."""
+    if a.kind == FREE_UNIVARIATE:
+        return _from_payload(a, rows[0, ::-1])
+    if a.kind == DIHEDRAL:
+        payload = np.array([rows[0, 1], rows[1].sum()])  # (swap, scale) inside the families
+        if not np.array_equal(_coefficient_rows(a, payload), rows):
+            raise UnsupportedAlgebraKind(
+                f"{what} leaves the implemented dihedral automorphism families"
+            )
+        return _from_payload(a, payload)
+    return _from_payload(a, rows)
+
+
+def identity_automorphism(a: Algebra) -> Automorphism:
+    """The automorphism whose images are the generator words themselves."""
+    eye = np.eye(len(image_words(a)), dtype=np.int64)
+    return _from_coefficients(a, eye[_generator_positions(a)], "identity")
+
+
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     """The automorphism whose twist equals twisting by f and then by g.
 
     Its image of generator i is g's image polynomial with every generator
-    replaced by f's image, i.e. twist(twist(m, f), g) == twist(m, compose(f, g)).
+    replaced by f's image, i.e. twist(twist(m, f), g) == twist(m, compose(f, g)):
+    g's coefficient rows times S_f, whose row w is f(w).
     """
     if f.algebra != g.algebra:
         raise AlgebraMismatch("automorphisms over different algebras")
     a = f.algebra
-    if a.kind == RSZ:
-        return _from_payload(a, _mul_arrays(g.coefficients, f.coefficients, a.p))
-    if a.kind == FREE_UNIVARIATE:
-        (af, bf), (ag, bg) = f.payload, g.payload
-        return _from_payload(a, (af * ag, ag * bf + bg))
-    if a.kind == DIHEDRAL:
-        (sf, af), (sg, ag) = f.payload, g.payload
-        if not sg:
-            return _from_payload(a, (sf, af * ag))
-        if af % a.p == 1:
-            return _from_payload(a, (not sf, ag))
-        raise UnsupportedAlgebraKind(
-            "composite leaves the implemented dihedral automorphism families"
-        )
-    if a.kind == TABLE:
-        # g's image of a generator combines basis words; f sends word j to column j
-        gens = _mul_arrays(g.coefficients, f.induced.a.T, a.p)
-        return _table_automorphism(a, gens, "composite of table automorphisms")
-    raise UnsupportedAlgebraKind(a.kind)
+    rows = _mul_arrays(g.coefficients, _substitution(a, f.coefficients), a.p)
+    return _from_coefficients(a, rows, "composite")
 
 
 def inverse(f: Automorphism) -> Automorphism:
+    """The automorphism undoing f: S_f^-1 is f^-1 on the span of the image
+    words, and its rows at the generator words are f^-1's images."""
     a = f.algebra
-    if a.kind == RSZ:
-        return _from_payload(a, Mat(a.p, f.coefficients).inverse().a)
-    if a.kind == FREE_UNIVARIATE:
-        coeff, shift = f.payload
-        ci = inv_mod(coeff, a.p)
-        return _from_payload(a, (ci, -ci * shift))
-    if a.kind == DIHEDRAL:
-        swap, scale = f.payload
-        if not swap:
-            return _from_payload(a, (0, inv_mod(scale, a.p)))
-        if scale % a.p == 1:
-            return f
-        raise UnsupportedAlgebraKind(
-            "inverse leaves the implemented dihedral automorphism families"
-        )
-    if a.kind == TABLE:
-        gens = f.induced.inverse().a[:, _generator_words(a)].T
-        return _table_automorphism(a, gens, "inverse of table automorphism")
-    raise UnsupportedAlgebraKind(a.kind)
+    s_inv = Mat(a.p, _substitution(a, f.coefficients)).inverse().a
+    return _from_coefficients(a, s_inv[_generator_positions(a)], "inverse")

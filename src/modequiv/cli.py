@@ -34,7 +34,6 @@ from .errors import ModEquivError, SchemaError, UndecidedError
 from .families import FIXTURE_NAMES, fixture
 from .modrep import IsoResult, Module, decompose, is_indecomposable, is_isomorphic
 from .serialize import module_from_dict
-from .verify import RunConfig, run_verification
 
 # kind -> (number of module inputs, None for one or more; the decision on
 # the inputs m and the parsed arguments a)
@@ -169,6 +168,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import RunConfig, run_verification  # `check` never loads the claim suite
+
     cfg = RunConfig(
         fields=tuple(args.fields),
         budget=args.budget,

@@ -43,6 +43,8 @@ from .algebra import (
     Algebra,
     Automorphism,
     AutomorphismGroup,
+    _coefficient_rows,
+    _substitution,
     compose,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
@@ -598,7 +600,9 @@ def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
     twist(m, f') ~ twist(m, f) iff f' = compose(h, f) for some h in Stab(m)
     (h = compose(f', f^-1)): the classes are the cosets {compose(h, f) : h in
     Stab(m)}.  Each automorphism not yet in a class starts one and marks its
-    coset through a payload lookup.  The dihedral families are not closed
+    coset by compose's rule, its coefficient rows times S_h for all h in
+    Stab(m) in one product, looked up on the group's coefficient rows (for
+    rsz, the payloads themselves).  The dihedral families are not closed
     under compose, so there every twist is compared with the first twists
     of the earlier classes.
     """
@@ -613,20 +617,17 @@ def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
     stab = [h for h in _profile_survivors(_profiles(m, m), autos) if same(m, twist(m, autos[h]))]
     if len(stab) == len(autos):
         return [0]
-    a, payloads = autos.algebra, autos.payloads
-    index = {row: i for i, row in enumerate(map(tuple, payloads.reshape(len(autos), -1).tolist()))}
-    members = payloads[stab] if a.kind == RSZ else [autos[h] for h in stab]
+    a = autos.algebra
+    rows = _coefficient_rows(a, autos.payloads)
+    index = {row: i for i, row in enumerate(map(tuple, rows.reshape(len(autos), -1).tolist()))}
+    subs = _substitution(a, rows[stab])
     in_class = np.zeros(len(autos), dtype=bool)
     firsts = []
     for i in range(len(autos)):
         if in_class[i]:
             continue
         firsts.append(i)
-        if a.kind == RSZ:
-            # compose(h, f) has the mixing matrix F H
-            coset = _mul_arrays(payloads[i], members, a.p)
-        else:
-            coset = np.array([compose(h, autos[i]).payload for h in members])
+        coset = _mul_arrays(rows[i], subs, a.p)
         in_class[[index[tuple(row)] for row in coset.reshape(len(stab), -1).tolist()]] = True
     return firsts
 

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from modequiv import cli
+from modequiv import cli, verify
 from modequiv.verify import Report, run_verification
 
 VERIFY_ARGV = ["verify", "--fields", "2", "--report", "structured"]
@@ -39,7 +39,7 @@ def run_verify() -> VerifyRun:
         return reports[-1]
 
     out = io.StringIO()
-    with mock.patch.object(cli, "run_verification", keep), contextlib.redirect_stdout(out):
+    with mock.patch.object(verify, "run_verification", keep), contextlib.redirect_stdout(out):
         code = cli.main(VERIFY_ARGV)
     return VerifyRun(code, out.getvalue(), reports[0])
 

@@ -1,10 +1,14 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from modequiv.algebra import (
     DEFAULT_BUDGET,
+    DIHEDRAL,
+    FREE_UNIVARIATE,
+    RSZ,
     Automorphism,
     NcPoly,
     Subalgebra,
@@ -19,7 +23,7 @@ from modequiv.algebra import (
     make_free_univariate,
     make_rsz_algebra,
     make_semidihedral_algebra,
-    _table_automorphism,
+    _table_automorphisms,
 )
 from modequiv.errors import (
     BudgetExceeded,
@@ -28,7 +32,7 @@ from modequiv.errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from modequiv.linalg import Mat
+from modequiv.linalg import Mat, _mul_arrays, inv_mod
 
 
 def gaussian_subspace_count(g, k, p):
@@ -545,5 +549,121 @@ def test_table_automorphism_rejects_relation_breakers():
     xv[2] = 1
     yv = np.zeros(7, dtype=np.int64)
     yv[2] = 1
-    with pytest.raises(TableInconsistent, match="^probe failed validation$"):
-        _table_automorphism(a, [xv, yv], "probe")
+    # the enumeration filter keeps the identity images and drops the breaker
+    identity = np.eye(7, dtype=np.int64)[[1, 2]]
+    found = _table_automorphisms(a, np.stack([np.stack([xv, yv]), identity], axis=1))
+    assert found.tolist() == [identity.tolist()]
+
+
+# -- compose, inverse and identity against the per-kind formulas --------------
+
+
+def _reference_compose(f, g):
+    """The payload of compose(f, g) by the per-kind formulas, or None where a
+    dihedral composite leaves the implemented families."""
+    a = f.algebra
+    p = a.p
+    if a.kind == RSZ:
+        return tuple(map(tuple, _mul_arrays(g.coefficients, f.coefficients, p).tolist()))
+    if a.kind == FREE_UNIVARIATE:
+        (af, bf), (ag, bg) = f.payload, g.payload
+        return (af * ag % p, (ag * bf + bg) % p)
+    if a.kind == DIHEDRAL:
+        (sf, af), (sg, ag) = f.payload, g.payload
+        if not sg:
+            return (sf, af * ag % p)
+        return (not sf, ag) if af % p == 1 else None
+    # g's image of a generator combines basis words; f sends word j to column j
+    return tuple(map(tuple, _mul_arrays(g.coefficients, f.induced.a.T, p).tolist()))
+
+
+def _table_generator_columns(a):
+    return [a.basis_words.index((i,)) for i in range(a.num_generators)]
+
+
+def _reference_inverse(f):
+    """The payload of inverse(f) by the per-kind formulas, or None where a
+    dihedral inverse leaves the implemented families."""
+    a = f.algebra
+    p = a.p
+    if a.kind == RSZ:
+        return tuple(map(tuple, Mat(p, f.coefficients).inverse().to_lists()))
+    if a.kind == FREE_UNIVARIATE:
+        coeff, shift = f.payload
+        ci = inv_mod(coeff, p)
+        return (ci, -ci * shift % p)
+    if a.kind == DIHEDRAL:
+        swap, scale = f.payload
+        if not swap:
+            return (False, inv_mod(scale, p))
+        return f.payload if scale % p == 1 else None
+    gens = f.induced.inverse().a[:, _table_generator_columns(a)].T
+    return tuple(map(tuple, gens.tolist()))
+
+
+def _reference_identity(a):
+    if a.kind == RSZ:
+        return tuple(map(tuple, np.eye(a.num_generators, dtype=int).tolist()))
+    if a.kind == FREE_UNIVARIATE:
+        return (1, 0)
+    if a.kind == DIHEDRAL:
+        return (False, 1)
+    eye = np.eye(len(a.basis_labels), dtype=int)
+    return tuple(map(tuple, eye[_table_generator_columns(a)].tolist()))
+
+
+def _payload_or_none(op, *autos):
+    try:
+        return op(*autos).payload
+    except UnsupportedAlgebraKind:
+        return None
+
+
+SUBSTITUTION_CASES = (
+    (lambda p: make_rsz_algebra(2, p), 2),
+    (lambda p: make_rsz_algebra(2, p), 3),
+    (lambda p: make_rsz_algebra(3, p), 2),
+    (lambda p: make_rsz_algebra(3, p), 3),
+    # the algebra of the W = 0 subalgebra, on no generators
+    (lambda p: enumerate_proper_subalgebras(make_rsz_algebra(2, p))[0].as_algebra, 3),
+    (make_free_univariate, 2),
+    (make_free_univariate, 5),
+    (lambda p: make_dihedral_algebra(1, 1, 1, p), 2),
+    (lambda p: make_dihedral_algebra(1, 1, 1, p), 3),
+    (make_semidihedral_algebra, 2),
+    (make_semidihedral_algebra, 3),
+)
+
+
+@pytest.mark.parametrize(
+    "make,p",
+    SUBSTITUTION_CASES,
+    ids=["rsz2-2", "rsz2-3", "rsz3-2", "rsz3-3", "rsz0-3", "free-2", "free-5", "dih-2", "dih-3",
+         "semidih-2", "semidih-3"],
+)
+def test_substitution_rule_matches_the_per_kind_formulas(make, p):
+    a = make(p)
+    autos = enumerate_automorphisms(a)
+    n = len(autos)
+    if p == 2 or n * n <= 500:
+        pairs = list(itertools.product(range(n), repeat=2))
+    else:
+        draw = random.Random(0)
+        pairs = [(draw.randrange(n), draw.randrange(n)) for _ in range(500)]
+    assert identity_automorphism(a).payload == _reference_identity(a)
+    for i, j in pairs:
+        f, g = autos[i], autos[j]
+        assert _payload_or_none(compose, f, g) == _reference_compose(f, g)
+    for i in sorted({i for pair in pairs for i in pair}):
+        assert _payload_or_none(inverse, autos[i]) == _reference_inverse(autos[i])
+
+
+def test_dihedral_results_outside_the_families_are_refused():
+    a = make_dihedral_algebra(1, 1, 1, 3)
+    scale2, swap2 = Automorphism(a, (False, 2)), Automorphism(a, (True, 2))
+    swap1 = Automorphism(a, (True, 1))
+    leaves = " leaves the implemented dihedral automorphism families$"
+    with pytest.raises(UnsupportedAlgebraKind, match="^composite" + leaves):
+        compose(scale2, swap1)
+    with pytest.raises(UnsupportedAlgebraKind, match="^inverse" + leaves):
+        inverse(swap2)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modequiv
 from modequiv import equiv, verify
 from modequiv.algebra import (
     enumerate_proper_subalgebras,
@@ -278,6 +282,14 @@ def test_cli_verify_timing_flag(capsys, monkeypatch):
     assert main(["verify", "--fields", "2", "--report", "structured", "--timing"]) in (0, 1)
     payload = json.loads(capsys.readouterr().out)
     assert any(rec["elapsed_ms"] is not None for rec in payload["claims"])
+
+
+def test_cli_import_does_not_load_the_claim_suite():
+    # `modequiv check` processes import the CLI module; only `verify` needs the claims
+    src = os.path.dirname(os.path.dirname(modequiv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import modequiv.cli, sys; assert 'modequiv.verify' not in sys.modules"
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_cli_verify_has_no_seed_option(capsys):
