@@ -25,8 +25,8 @@ from .errors import (
     TableInconsistent,
     UnsupportedAlgebraKind,
 )
-from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, check_prime, tensor_combine
-from .linalg import lex_blocks, lex_rows
+from .linalg import Mat, _batch_invertible, _mul_arrays, _rank, _square_stack, check_prime
+from .linalg import lex_blocks, lex_rows, tensor_combine
 
 RSZ = "rsz"
 FREE_UNIVARIATE = "free_univariate"
@@ -134,21 +134,27 @@ def word_values(words, gens, unit, mul) -> dict:
     return values
 
 
+def word_stack(words, actions: np.ndarray, p: int) -> np.ndarray:
+    """The (W, ..., n, n) values of the words with generator i acting by
+    actions[..., i, :, :], a (..., g, n, n) residue array; the empty word is
+    the identity, and every word prefix is multiplied out once."""
+    n, batch = actions.shape[-1], actions.shape[:-3]
+    gens, unit = actions, np.eye(n, dtype=np.int64)
+    if batch:
+        gens, unit = np.moveaxis(actions, -3, 0), np.broadcast_to(unit, batch + (n, n))
+    values = word_values(words, gens, unit, lambda x, y: _mul_arrays(x, y, p))
+    return np.array([values[w] for w in words], np.int64).reshape((len(words),) + batch + (n, n))
+
+
 def evaluate_arrays(polys: Sequence[NcPoly], actions: np.ndarray, p: int) -> np.ndarray:
-    """The (len(polys), n, n) values of the polys with generator i acting by
-    actions[i], a (g, n, n) residue array; the empty word is the identity.
-    Every word prefix is multiplied out once, and the coefficients are
-    combined with the word values in one tensor_combine."""
-    n = actions.shape[-1]
+    """The (len(polys), ..., n, n) values of the polys on a (..., g, n, n)
+    action array: their coefficients times word_stack, in one tensor_combine."""
     words = list(dict.fromkeys(w for poly in polys for _, w in poly.terms))
-    eye = np.eye(n, dtype=np.int64)
-    values = word_values(words, actions, eye, lambda x, y: _mul_arrays(x, y, p))
     coeffs = np.zeros((len(polys), len(words)), dtype=np.int64)
     for r, poly in enumerate(polys):
         for c, w in poly.terms:
             coeffs[r, words.index(w)] = c % p
-    stack = np.array([values[w] for w in words], dtype=np.int64).reshape(len(words), n, n)
-    return tensor_combine(coeffs, stack, p)
+    return tensor_combine(coeffs, word_stack(words, actions, p), p)
 
 
 def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
@@ -157,17 +163,8 @@ def evaluate_poly(poly: NcPoly, assignment: Sequence[Mat]) -> Mat:
         raise DimensionMismatch(
             f"poly uses generator {poly.max_generator}, only {len(assignment)} matrices given"
         )
-    if assignment:
-        n, p = assignment[0].rows, assignment[0].p
-        for m in assignment:
-            if m.rows != n or m.cols != n:
-                raise DimensionMismatch("assignment matrices must be square of equal size")
-            if m.p != p:
-                raise ModulusMismatch("assignment matrices over different moduli")
-    else:
-        n, p = 0, poly.p
-    actions = np.array([m.a for m in assignment], dtype=np.int64).reshape(len(assignment), n, n)
-    return Mat(p, evaluate_arrays((poly,), actions, p)[0])
+    p = assignment[0].p if assignment else poly.p
+    return Mat(p, evaluate_arrays((poly,), _square_stack(assignment, p), p)[0])
 
 
 class Algebra:
@@ -573,14 +570,6 @@ class Automorphism:
         rows = _coefficient_rows(a, np.array(self.payload, dtype=np.int64))
         return rows.reshape(a.num_generators, len(image_words(a))) % a.p
 
-    @property
-    def induced(self) -> Mat:
-        """The basis-to-basis linear map, column j the image of basis word j
-        (table algebras only)."""
-        if self.algebra.kind != TABLE:
-            raise UnsupportedAlgebraKind("induced basis maps only exist for table automorphisms")
-        return Mat(self.algebra.p, _induced(self.algebra, np.array(self.payload, dtype=np.int64)))
-
     def describe(self) -> str:
         kind = self.algebra.kind
         if kind == RSZ:
@@ -721,6 +710,12 @@ def _substitution(a: Algebra, coefficients: np.ndarray) -> np.ndarray:
     return coefficients
 
 
+def _compose_rows(a: Algebra, f_rows: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """compose's rule on (..., n_gens, W) coefficient rows, broadcast over
+    the leading axes: g's rows times S_f."""
+    return _mul_arrays(g_rows, _substitution(a, f_rows), a.p)
+
+
 def _from_coefficients(a: Algebra, rows: np.ndarray, what: str) -> Automorphism:
     """The automorphism with (n_gens, W) residue rows, the inverse of
     Automorphism.coefficients; raises UnsupportedAlgebraKind, naming `what`,
@@ -753,13 +748,15 @@ def compose(f: Automorphism, g: Automorphism) -> Automorphism:
     if f.algebra != g.algebra:
         raise AlgebraMismatch("automorphisms over different algebras")
     a = f.algebra
-    rows = _mul_arrays(g.coefficients, _substitution(a, f.coefficients), a.p)
-    return _from_coefficients(a, rows, "composite")
+    return _from_coefficients(a, _compose_rows(a, f.coefficients, g.coefficients), "composite")
+
+
+def _inverse_rows(a: Algebra, rows: np.ndarray) -> np.ndarray:
+    """f^-1's coefficient rows from f's: S_f^-1 is f^-1 on the span of the
+    image words, and its rows at the generator words are f^-1's images."""
+    return Mat(a.p, _substitution(a, rows)).inverse().a[_generator_positions(a)]
 
 
 def inverse(f: Automorphism) -> Automorphism:
-    """The automorphism undoing f: S_f^-1 is f^-1 on the span of the image
-    words, and its rows at the generator words are f^-1's images."""
-    a = f.algebra
-    s_inv = Mat(a.p, _substitution(a, f.coefficients)).inverse().a
-    return _from_coefficients(a, s_inv[_generator_positions(a)], "inverse")
+    """The automorphism undoing f, with _inverse_rows."""
+    return _from_coefficients(f.algebra, _inverse_rows(f.algebra, f.coefficients), "inverse")

@@ -44,11 +44,11 @@ from .algebra import (
     Automorphism,
     AutomorphismGroup,
     _coefficient_rows,
+    _compose_rows,
+    _inverse_rows,
     _substitution,
-    compose,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
-    inverse,
 )
 from .errors import AlgebraMismatch, UndecidedError, UnsupportedAlgebraKind
 from .linalg import Mat, _batch_rank, _mul_arrays, lex_blocks, lex_rows, tensor_combine
@@ -59,6 +59,8 @@ from .modrep import (
     Verdict,
     _intertwines,
     _iso_from_hom,
+    _module_trusted,
+    _twist_arrays,
     hom_space,
     is_indecomposable,
     is_isomorphic,
@@ -541,21 +543,17 @@ def t_orbit(
         return res.verdict.is_yes
 
     partition = _partition_from_pairs(labels, same_class)
+    alg = m.algebra
     for cls in partition.classes:
         for a, b in itertools.combinations(cls[1:], 2):
             fa, phia = witnesses[a]
             fb, phib = witnesses[b]
             # phi_x : m_rep -> twist(m_x, f_x); untwisting by f_a gives
-            # phib phia^{-1} : m_a -> twist(m_b, f_b then f_a^{-1})
-            try:
-                h = compose(fb, inverse(fa))
-            except UnsupportedAlgebraKind:
-                # dihedral witnesses need not invert inside the family;
-                # fall back to a direct comparison
-                if not t_isomorphic(by_label[a], by_label[b], budget).verdict.is_yes:
-                    raise UndecidedError(f"pair {a} vs {b} not re-verified")
-                continue
-            if not verify_twisted_witness(by_label[a], by_label[b], h, phib @ phia.inverse()):
+            # phib phia^{-1} : m_a -> twist(m_b, f_b then f_a^{-1}), whose
+            # rows are compose's rule, inside the dihedral families or not
+            rows = _compose_rows(alg, fb.coefficients, _inverse_rows(alg, fa.coefficients))
+            twisted = _module_trusted(alg, _twist_arrays(alg, by_label[b].actions, rows))
+            if not _intertwines(by_label[a], twisted, phib @ phia.inverse()):
                 raise UndecidedError(f"composed witness for {a} vs {b} failed")
 
     if not closure:
@@ -568,7 +566,8 @@ def t_orbit(
         return res.verdict.is_yes
 
     autos = enumerate_automorphisms(m.algebra, budget)
-    reps = [twist(m, autos[i]) for i in _twist_class_firsts(m, autos, same)]
+    rows = _coefficient_rows(alg, autos.payloads)[_twist_class_firsts(m, autos, same)]
+    reps = [_module_trusted(alg, x, m.name) for x in _twist_arrays(alg, m.actions, rows)]
     profiled = _profiled(m.algebra)
 
     def profile(x: Module) -> bytes:
@@ -606,10 +605,12 @@ def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
     under compose, so there every twist is compared with the first twists
     of the earlier classes.
     """
-    if m.algebra.kind == DIHEDRAL:
+    a = autos.algebra
+    rows = _coefficient_rows(a, autos.payloads)
+    if a.kind == DIHEDRAL:
         reps, firsts = [], []
-        for i, f in enumerate(autos):
-            tw = twist(m, f)
+        for i, actions in enumerate(_twist_arrays(a, m.actions, rows)):
+            tw = _module_trusted(a, actions)
             if not any(same(r, tw) for r in reps):
                 reps.append(tw)
                 firsts.append(i)
@@ -617,8 +618,6 @@ def _twist_class_firsts(m: Module, autos: AutomorphismGroup, same) -> list[int]:
     stab = [h for h in _profile_survivors(_profiles(m, m), autos) if same(m, twist(m, autos[h]))]
     if len(stab) == len(autos):
         return [0]
-    a = autos.algebra
-    rows = _coefficient_rows(a, autos.payloads)
     index = {row: i for i, row in enumerate(map(tuple, rows.reshape(len(autos), -1).tolist()))}
     subs = _substitution(a, rows[stab])
     in_class = np.zeros(len(autos), dtype=bool)

@@ -232,6 +232,17 @@ class Mat:
         return [Mat(self.p, v.reshape(-1, 1)) for v in ns]
 
 
+def _square_stack(mats: Sequence[Mat], p: int) -> np.ndarray:
+    """The (g, n, n) residue array of g square Mats of one size over F_p."""
+    n = mats[0].rows if mats else 0
+    for m in mats:
+        if m.rows != n or m.cols != n:
+            raise DimensionMismatch("matrices must be square of equal size")
+        if m.p != p:
+            raise ModulusMismatch(f"matrices over moduli {m.p} and {p}")
+    return np.array([m.a for m in mats], dtype=np.int64).reshape(len(mats), n, n)
+
+
 # -- elimination internals (plain int64 arrays) -----------------------------
 
 

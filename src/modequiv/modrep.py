@@ -34,7 +34,7 @@ from .algebra import (
     Subalgebra,
     evaluate_arrays,
     image_words,
-    word_values,
+    word_stack,
 )
 from .errors import (
     AlgebraMismatch,
@@ -54,6 +54,7 @@ from .linalg import (
     _rank,
     _rref,
     _solve,
+    _square_stack,
     lex_blocks,
     lex_rows,
     tensor_combine,
@@ -100,13 +101,7 @@ class Module:
                 f"{algebra.num_generators} generators need {algebra.num_generators} "
                 f"action matrices, got {len(action)}"
             )
-        n = action[0].rows if action else 0
-        for m in action:
-            if m.rows != n or m.cols != n:
-                raise DimensionMismatch("action matrices must be square of equal size")
-            if m.p != algebra.p:
-                raise ModulusMismatch("action matrices over a different modulus")
-        actions = np.array([m.a for m in action], dtype=np.int64).reshape(len(action), n, n)
+        actions = _square_stack(action, algebra.p)
         _check_relations(algebra, actions)
         _init(self, algebra, actions, name)
 
@@ -151,7 +146,7 @@ def _init(m: Module, a: Algebra, actions: np.ndarray, name: str):
 
 
 def _check_relations(a: Algebra, actions: np.ndarray):
-    """RelationViolated at the first relation of a that is not 0 on actions."""
+    """RelationViolated at the first relation of a not 0 on actions, or on any of a batch."""
     for rel, value in zip(a.relations, evaluate_arrays(a.relations, actions, a.p)):
         if value.any():
             raise RelationViolated(f"relation {rel!r} does not vanish", relation=rel)
@@ -729,22 +724,24 @@ def restrict(m: Module, s: Subalgebra) -> Module:
 
 
 def twist(m: Module, f: Automorphism) -> Module:
-    """The module with generator i acting by f's image of generator i
-    evaluated on the original action: one tensor_combine of f's
-    coefficients with m's action on the algebra's image_words.
-
-    For square-zero algebras the twisted actions are linear combinations of
-    the originals, so every product of two of them vanishes automatically and
-    the relation check is skipped; every other result is re-validated
-    against the relations.
-    """
+    """m twisted by f: _twist_arrays on f's coefficient rows, a batch of one."""
     if f.algebra != m.algebra:
         raise AlgebraMismatch("automorphism of a different algebra")
-    a, n, words = m.algebra, m.dim, image_words(m.algebra)
-    eye = np.eye(n, dtype=np.int64)
-    values = word_values(words, m.actions, eye, lambda x, y: _mul_arrays(x, y, a.p))
-    stack = np.array([values[w] for w in words], dtype=np.int64).reshape(len(words), n, n)
-    actions = tensor_combine(f.coefficients, stack, a.p)
+    return _module_trusted(m.algebra, _twist_arrays(m.algebra, m.actions, f.coefficients), m.name)
+
+
+def _twist_arrays(a: Algebra, actions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The twist rule: (..., n_gens, W) coefficient rows over image_words(a)
+    times the word stack of a (g, n, n) action in one tensor_combine, or of
+    a (..., g, n, n) stack, each by its own rows.  rsz twists combine the
+    actions linearly and keep the relations; any other batch is re-checked."""
+    stack = word_stack(image_words(a), actions, a.p)
+    if actions.ndim == 3:
+        out = tensor_combine(rows, stack, a.p)
+    else:
+        n = actions.shape[-1]
+        flat = np.moveaxis(stack, 0, -3).reshape(actions.shape[:-3] + (len(stack), n * n))
+        out = _mul_arrays(rows, flat, a.p).reshape(rows.shape[:-1] + (n, n))
     if a.kind != RSZ:
-        _check_relations(a, actions)
-    return _module_trusted(a, actions, name=m.name)
+        _check_relations(a, out)
+    return out

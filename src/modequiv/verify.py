@@ -20,8 +20,9 @@ import numpy as np
 from .algebra import (
     DEFAULT_BUDGET,
     Subalgebra,
+    _coefficient_rows,
+    _compose_rows,
     algebra_validate,
-    compose,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     make_dihedral_algebra,
@@ -40,12 +41,13 @@ from .errors import (
     BudgetExceeded,
     RelationViolated,
     UndecidedError,
-    UnsupportedAlgebraKind,
 )
 from .families import INFINITY, b_blowup, band_module, c2, c3, fixture, jordan, k_module
 from .linalg import Mat, check_prime, rand_invertible, rand_mat
 from .modrep import (
     Verdict,
+    _module_trusted,
+    _twist_arrays,
     conjugate,
     decompose,
     direct_sum,
@@ -62,6 +64,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 SKIPPED = "SKIPPED"
+_LAW_CHUNK = 4096  # automorphism pairs per array comparison in algebra-laws
 
 
 class ClaimFailure(Exception):
@@ -292,9 +295,10 @@ def _claim_semidihedral(cfg: RunConfig, p: int) -> str:
     if not np.array_equal(yy, expect):
         raise ClaimFailure("y*y is not the xyx basis element")
     autos = enumerate_automorphisms(alg, cfg.budget)
-    for f in autos:
-        if f.payload[0][2] != 0 or f.payload[0][1] == 0:
-            raise ClaimFailure(f"automorphism breaks the forced shape: {f.payload[0]}")
+    images_x = autos.payloads[:, 0]
+    bad = images_x[(images_x[:, 2] != 0) | (images_x[:, 1] == 0)]
+    if len(bad):
+        raise ClaimFailure(f"automorphism breaks the forced shape: {tuple(bad[0].tolist())}")
     family = [
         module_validate(alg, [Mat.basis(2, 2, 1, p), Mat.basis(2, 2, 1, p, value=lam)])
         for lam in range(p)
@@ -409,8 +413,8 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
         res = t_isomorphic(m, conj, cfg.budget)
         _expect(res, Verdict.YES, "twist relation is finer than isomorphism", f"{m!r}")
 
-    # twist laws over enumerated automorphism pairs: exhaustive when the pair
-    # space is small (it is at p=2), seeded sampling beyond that
+    # twist(twist(m, f), g) == twist(m, compose(f, g)) on all automorphism pairs
+    # where few (at p=2), else on seeded draws, off m twisted by the whole group
     pair_cap = 40000
     pair_counts = []
     for alg, group in groups.items():
@@ -421,34 +425,25 @@ def _claim_algebra_laws(cfg: RunConfig, p: int) -> str:
         m = group[0]
         n_autos = len(autos)
         if n_autos**2 <= pair_cap:
-            pairs = itertools.product(range(n_autos), repeat=2)
-            n_pairs = n_autos**2
+            first, then = np.divmod(np.arange(n_autos**2), n_autos)
         else:
-            n_pairs = 2000
-            pairs = zip(
-                rng.integers(0, n_autos, size=n_pairs),
-                rng.integers(0, n_autos, size=n_pairs),
-            )
-        twist_cache: dict = {}
-        for i, j in pairs:
-            f, g = autos[int(i)], autos[int(j)]
-            try:
-                h = compose(f, g)
-            except UnsupportedAlgebraKind:
-                # dihedral composites with a != 1 leave the implemented
-                # family; the closure law is a p=2 statement there
-                continue
-            if i not in twist_cache:
-                twist_cache[i] = twist(m, f)
-            lhs = twist(twist_cache[i], g)
-            rhs = twist(m, h)
-            if lhs != rhs:
+            first = rng.integers(0, n_autos, size=2000)
+            then = rng.integers(0, n_autos, size=2000)
+        rows = _coefficient_rows(alg, autos.payloads)
+        twisted = _twist_arrays(alg, m.actions, rows)
+        for start in range(0, len(first), _LAW_CHUNK):
+            i, j = first[start : start + _LAW_CHUNK], then[start : start + _LAW_CHUNK]
+            lhs = _twist_arrays(alg, twisted[i], rows[j])
+            rhs = _twist_arrays(alg, m.actions, _compose_rows(alg, rows[i], rows[j]))
+            bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2, 3)))
+            if bad.size:
+                f, g = autos[int(i[bad[0]])], autos[int(j[bad[0]])]
                 raise ClaimFailure(f"twist law fails for {f.describe()} then {g.describe()}")
-        pair_counts.append(n_pairs)
+        pair_counts.append(len(first))
         end_dim = hom_space(m, m).dim
-        step = max(1, n_autos // 500)
-        for f in autos[::step]:
-            if hom_space(twist(m, f), twist(m, f)).dim != end_dim:
+        for actions in twisted[:: max(1, n_autos // 500)]:
+            tw = _module_trusted(alg, actions)
+            if hom_space(tw, tw).dim != end_dim:
                 raise ClaimFailure("twisting changed the endomorphism dimension")
 
     # hom additivity on random same-algebra triples

@@ -21,6 +21,7 @@ from modequiv.algebra import (
     TABLE,
     Automorphism,
     NcPoly,
+    _coefficient_rows,
     enumerate_automorphisms,
     enumerate_proper_subalgebras,
     evaluate_poly,
@@ -44,6 +45,7 @@ from modequiv.families import (
 )
 from modequiv.linalg import Mat, _nullspace, rand_invertible
 from modequiv.modrep import (
+    _twist_arrays,
     conjugate,
     direct_sum,
     hom_space,
@@ -150,9 +152,10 @@ def _by_algebra(mods):
 
 
 def _sample(group, rng, k=6):
-    """The first and last automorphisms and k more drawn from the seed."""
+    """The indices of the first and last automorphisms and of k more drawn
+    from the seed."""
     picks = {0, len(group) - 1, *(int(i) for i in rng.integers(0, len(group), size=k))}
-    return [group[i] for i in sorted(picks)]
+    return sorted(picks)
 
 
 def _assert_module(got, want_action, want_dim):
@@ -171,8 +174,19 @@ def test_array_layer_matches_the_mat_reference(p):
         _assert_module(conjugate(m, pm), _ref_conjugate(m, pm), m.dim)
         if m.algebra.kind in (RSZ, TABLE, DIHEDRAL):
             assert socle_dim(m) == _ref_socle_dim(m)
-        for f in _sample(enumerate_automorphisms(m.algebra), rng):
-            _assert_module(twist(m, f), _ref_twist(m, f), m.dim)
+        # the batched twist rule: m by the whole group, and a stack of
+        # modules each by its own rows, against one twist at a time
+        autos = enumerate_automorphisms(m.algebra)
+        rows = _coefficient_rows(m.algebra, autos.payloads)
+        whole = _twist_arrays(m.algebra, m.actions, rows)
+        picks = _sample(autos, rng)
+        for i in picks:
+            tw = twist(m, autos[i])
+            _assert_module(tw, _ref_twist(m, autos[i]), m.dim)
+            assert np.array_equal(whole[i], tw.actions)
+        pairwise = _twist_arrays(m.algebra, whole[picks], rows[picks[::-1]])
+        for k, (i, j) in enumerate(zip(picks, picks[::-1])):
+            assert np.array_equal(pairwise[k], twist(twist(m, autos[i]), autos[j]).actions)
         if m.algebra.kind == RSZ and m.algebra.num_generators:
             for s in enumerate_proper_subalgebras(m.algebra, "all"):
                 _assert_module(restrict(m, s), _ref_restrict(m, s), m.dim)
@@ -202,15 +216,30 @@ def test_evaluate_poly_matches_the_mat_reference(p):
 def test_relations_are_checked_on_the_twisted_array():
     # x -> x + y breaks x^2 = 0 on the left regular module of the semidihedral
     # algebra, in the reference and in the array path alike
-    sd = make_semidihedral_algebra(2)
-    regular = module_validate(
-        sd, [Mat(2, sd.table[sd.basis_words.index((i,))].T) for i in range(sd.num_generators)]
-    )
-    bad = Automorphism(sd, ((0, 1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)))
-    with pytest.raises(RelationViolated):
-        _ref_twist(regular, bad)
-    with pytest.raises(RelationViolated):
-        twist(regular, bad)
+    for p in (2, 3):
+        sd = make_semidihedral_algebra(p)
+        regular = module_validate(
+            sd, [Mat(p, sd.table[sd.basis_words.index((i,))].T) for i in range(sd.num_generators)]
+        )
+        bad = Automorphism(sd, ((0, 1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0)))
+        with pytest.raises(RelationViolated):
+            _ref_twist(regular, bad)
+        with pytest.raises(RelationViolated):
+            twist(regular, bad)
+        # the regular module tells every basis word of a twist's rows apart, and
+        # at p = 3 the sign of f(x)'s xy - yx part; in a batch the bad rows come
+        # last, after rows that all pass
+        autos = enumerate_automorphisms(sd)
+        rows = _coefficient_rows(sd, autos.payloads)
+        with_bad = np.concatenate([rows, bad.coefficients[None]])
+        whole = _twist_arrays(sd, regular.actions, rows)
+        for i in _sample(autos, np.random.default_rng(0)):
+            assert tuple(Mat(p, x) for x in whole[i]) == _ref_twist(regular, autos[i])
+        with pytest.raises(RelationViolated):
+            _twist_arrays(sd, regular.actions, with_bad)
+        _twist_arrays(sd, whole, rows[::-1])
+        with pytest.raises(RelationViolated):
+            _twist_arrays(sd, np.concatenate([whole, regular.actions[None]]), with_bad)
 
 
 # -- error classes of bad input ---------------------------------------------------
